@@ -57,7 +57,6 @@ from .swarm import (
     Particle,
     SwarmConfig,
     SwarmHistory,
-    SwarmState,
     SwarmStats,
     adaptive_inertia,
     adaptive_learning_factors,
@@ -94,7 +93,6 @@ __all__ = [
     "SegmentationResult",
     "SwarmConfig",
     "SwarmHistory",
-    "SwarmState",
     "SwarmStats",
     "TooManyClustersError",
     "UndefinedNormalizationError",

@@ -10,12 +10,12 @@ Conventions used across the package:
 * a *labeling* is an (N,) int array of cluster indices in [0, C).
 
 Center sets, membership matrices and labelings are deliberately bare
-``numpy`` arrays rather than wrapper classes; ``check_memberships`` /
-``check_centers`` enforce their invariants where tests need them.
+``numpy`` arrays rather than wrapper classes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,14 +125,14 @@ class ClusterConfig:
             raise InvalidClusterCountError(
                 f"cluster_count must be >= 1, got {self.cluster_count}"
             )
-        if not self.fuzzifier > 1.0:
+        if not 1.0 < self.fuzzifier < math.inf:
             raise InvalidFuzzifierError(
-                f"fuzzifier must be > 1, got {self.fuzzifier}"
+                f"fuzzifier must be finite and > 1, got {self.fuzzifier}"
             )
         if self.fcm_max_iters < 1:
             raise ValueError("fcm_max_iters must be positive")
-        if not self.fcm_rel_tol > 0.0:
-            raise ValueError("fcm_rel_tol must be positive")
+        if not 0.0 < self.fcm_rel_tol < math.inf:
+            raise ValueError("fcm_rel_tol must be finite and positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -237,24 +237,20 @@ def sample_distinct_pixels(
     )
 
 
-def check_memberships(u: np.ndarray, atol: float = 1e-9) -> None:
-    """Raise if `u` is not a valid membership matrix (rows sum to 1, entries in [0,1])."""
-    u = np.asarray(u)
-    if u.ndim != 2:
-        raise ValueError("membership matrix must be 2-D")
-    if u.min() < -atol or u.max() > 1.0 + atol:
-        raise ValueError("membership entries must lie in [0, 1]")
-    rows = u.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > atol:
-        raise ValueError("membership rows must sum to 1")
+def reseed_farthest(
+    dataset: PixelDataset,
+    centers: np.ndarray,
+    slots: list[int],
+    dist_to_assigned: np.ndarray,
+) -> np.ndarray:
+    """Copy of ``centers`` with the rows in ``slots`` moved onto far pixels.
 
-
-def check_centers(centers: np.ndarray) -> None:
-    """Raise if `centers` is not a finite (C, d) array within [0, 255]."""
-    centers = np.asarray(centers)
-    if centers.ndim != 2 or centers.shape[0] < 1:
-        raise ValueError("centers must be a non-empty (C, d) array")
-    if not np.all(np.isfinite(centers)):
-        raise ValueError("center components must be finite")
-    if centers.min() < 0.0 or centers.max() > 255.0:
-        raise ValueError("center components must lie in [0, 255]")
+    ``dist_to_assigned`` holds each pixel's distance to the center it is
+    assigned to. The slots, in the order given, take the pixels from the
+    farthest down (ties by pixel index), wrapping around when there are
+    more slots than pixels.
+    """
+    order = np.argsort(-dist_to_assigned, kind="stable")
+    out = centers.copy()
+    out[slots] = dataset.pixels[order[np.arange(len(slots)) % dataset.n_pixels]]
+    return out

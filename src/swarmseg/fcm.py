@@ -18,6 +18,7 @@ from .core import (
     DeadClusterError,
     DegenerateClusteringError,
     PixelDataset,
+    reseed_farthest,
     squared_distances,
     validate_config,
 )
@@ -130,7 +131,7 @@ def fcm_objective(
 def _reseed_dead(
     dataset: PixelDataset, centers: np.ndarray, dead: list[int]
 ) -> np.ndarray:
-    """Move dead centers onto the pixels farthest from their assigned center.
+    """Move dead centers onto the pixels farthest from the live centers.
 
     Membership rows sum to 1, so at least one cluster always survives; the
     dead ones (in index order) take the worst-covered pixels relative to the
@@ -138,13 +139,7 @@ def _reseed_dead(
     """
     live = np.delete(centers, dead, axis=0)
     d2 = squared_distances(dataset.pixels, live)
-    labels = np.argmin(d2, axis=1)
-    dist_to_assigned = d2[np.arange(dataset.n_pixels), labels]
-    order = np.argsort(-dist_to_assigned, kind="stable")
-    out = centers.copy()
-    for rank, j in enumerate(dead):
-        out[j] = dataset.pixels[order[rank % dataset.n_pixels]]
-    return out
+    return reseed_farthest(dataset, centers, dead, d2.min(axis=1))
 
 
 def run_fcm(

@@ -15,6 +15,7 @@ from .core import (
     ClusterConfig,
     DegenerateClusteringError,
     PixelDataset,
+    reseed_farthest,
     sample_distinct_pixels,
     squared_distances,
     validate_config,
@@ -57,7 +58,8 @@ def run_kmeans(dataset: PixelDataset, config: ClusterConfig) -> KmeansResult:
     for _ in range(_MAX_ITERS):
         d2 = squared_distances(dataset.pixels, centers)
         labels = np.argmin(d2, axis=1)
-        trajectory.append(float(np.sum(d2[np.arange(dataset.n_pixels), labels])))
+        dist_to_assigned = d2[np.arange(dataset.n_pixels), labels]
+        trajectory.append(float(np.sum(dist_to_assigned)))
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             converged = True
             break
@@ -77,10 +79,7 @@ def run_kmeans(dataset: PixelDataset, config: ClusterConfig) -> KmeansResult:
                 raise DegenerateClusteringError(
                     f"empty clusters recurred {consecutive_empty} times in a row"
                 )
-            dist_to_assigned = d2[np.arange(dataset.n_pixels), labels]
-            order = np.argsort(-dist_to_assigned, kind="stable")
-            for rank, j in enumerate(empty):
-                new_centers[j] = dataset.pixels[order[rank % dataset.n_pixels]]
+            new_centers = reseed_farthest(dataset, new_centers, empty, dist_to_assigned)
         else:
             consecutive_empty = 0
         centers = new_centers

@@ -52,29 +52,6 @@ class SegmentationResult:
     fcm_result: FcmResult | None = None
 
 
-def _swarm_then_fcm(
-    name: str,
-    dataset: PixelDataset,
-    config: ClusterConfig,
-    sconfig: SwarmConfig,
-) -> SegmentationResult:
-    start = time.perf_counter()
-    seed_centers, history = run_swarm(dataset, config, sconfig)
-    fcm_result = run_fcm(dataset, seed_centers, config)
-    elapsed = time.perf_counter() - start
-    return SegmentationResult(
-        algorithm=name,
-        centers=fcm_result.centers,
-        labels=fcm_result.labels,
-        final_jm=fcm_result.jm_trajectory[-1],
-        iterations=history.iterations + fcm_result.iterations,
-        wall_time=elapsed,
-        seed=config.seed,
-        swarm_history=history,
-        fcm_result=fcm_result,
-    )
-
-
 def run_apsof(
     dataset: PixelDataset,
     config: ClusterConfig,
@@ -85,10 +62,7 @@ def run_apsof(
     The swarm's best center set becomes the c-means starting point, so the
     final objective can only match or improve on the swarm's answer.
     """
-    sconfig = SwarmConfig() if sconfig is None else sconfig
-    if sconfig.mode != "adaptive":
-        sconfig = replace(sconfig, mode="adaptive")
-    return _swarm_then_fcm("apsof", dataset, config, sconfig)
+    return run_algorithm("apsof", dataset, config, sconfig)
 
 
 def run_algorithm(
@@ -97,48 +71,43 @@ def run_algorithm(
     config: ClusterConfig,
     sconfig: SwarmConfig | None = None,
 ) -> SegmentationResult:
-    """Run one named algorithm; all share the same seed semantics."""
+    """Run one named algorithm; all share the same seed semantics.
+
+    The swarm pipelines force ``sconfig``'s mode: ``classic`` for psofcm,
+    ``adaptive`` for apsof.
+    """
+    if name not in ALGORITHMS:
+        raise ValueError(
+            f"unknown algorithm {name!r}; expected one of {', '.join(ALGORITHMS)}"
+        )
     sconfig = SwarmConfig() if sconfig is None else sconfig
+    history = fcm_result = None
 
+    start = time.perf_counter()
     if name == "kmeans":
-        start = time.perf_counter()
         result = run_kmeans(dataset, config)
-        elapsed = time.perf_counter() - start
-        return SegmentationResult(
-            algorithm=name,
-            centers=result.centers,
-            labels=result.labels,
-            final_jm=result.sse_trajectory[-1],
-            iterations=result.iterations,
-            wall_time=elapsed,
-            seed=config.seed,
-        )
+        final_jm, iterations = result.sse_trajectory[-1], result.iterations
+    else:
+        if name == "fcm":
+            rng = np.random.default_rng(config.seed)
+            initial = sample_distinct_pixels(dataset, config.cluster_count, rng)
+        else:
+            mode = "classic" if name == "psofcm" else "adaptive"
+            initial, history = run_swarm(dataset, config, replace(sconfig, mode=mode))
+        result = fcm_result = run_fcm(dataset, initial, config)
+        final_jm, iterations = result.jm_trajectory[-1], result.iterations
+        if history is not None:
+            iterations += history.iterations
+    elapsed = time.perf_counter() - start
 
-    if name == "fcm":
-        start = time.perf_counter()
-        rng = np.random.default_rng(config.seed)
-        initial = sample_distinct_pixels(dataset, config.cluster_count, rng)
-        result = run_fcm(dataset, initial, config)
-        elapsed = time.perf_counter() - start
-        return SegmentationResult(
-            algorithm=name,
-            centers=result.centers,
-            labels=result.labels,
-            final_jm=result.jm_trajectory[-1],
-            iterations=result.iterations,
-            wall_time=elapsed,
-            seed=config.seed,
-            fcm_result=result,
-        )
-
-    if name == "psofcm":
-        return _swarm_then_fcm(
-            "psofcm", dataset, config, replace(sconfig, mode="classic")
-        )
-
-    if name == "apsof":
-        return run_apsof(dataset, config, sconfig)
-
-    raise ValueError(
-        f"unknown algorithm {name!r}; expected one of {', '.join(ALGORITHMS)}"
+    return SegmentationResult(
+        algorithm=name,
+        centers=result.centers,
+        labels=result.labels,
+        final_jm=final_jm,
+        iterations=iterations,
+        wall_time=elapsed,
+        seed=config.seed,
+        swarm_history=history,
+        fcm_result=fcm_result,
     )

@@ -9,17 +9,22 @@ Two modes share one loop:
 
 A particle's position is a flattened (C*d,) array of center coordinates;
 its fitness is the total squared distance from every pixel to its nearest
-center (the quantization error of that center set). The swarm stops when
-the relative fitness variance collapses or the iteration budget runs out.
+center (the quantization error of that center set). The swarm is held as
+(P, C*d) position, velocity and personal-best arrays plus a (P,) array of
+personal-best fitness, and one step advances every row at once. The swarm
+stops when the relative fitness variance collapses or the iteration budget
+runs out.
 
 Determinism contract: one seeded generator drives the whole run, consumed
-in a fixed order (initialization particle by particle, then two scalar
-draws per particle per step in ascending particle index), so identical
-(seed, config, dataset) always reproduce the same history bit for bit.
+in a fixed order: the particles are initialized one by one, then each step
+takes one (P, 2) block of draws whose row i holds particle i's r1 and r2.
+Identical (seed, config, dataset) therefore always reproduce the same
+history bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,23 +44,13 @@ POSITION_HI = 255.0
 
 @dataclass
 class Particle:
-    """One candidate center set in flight: position, velocity, personal best."""
+    """One particle as ``step_particle`` sees it: a row of the swarm arrays."""
 
     position: np.ndarray
     velocity: np.ndarray
     pbest: np.ndarray
     pbest_fitness: float
     fitness: float
-
-
-@dataclass
-class SwarmState:
-    """Whole-swarm snapshot: particles plus the best position seen so far."""
-
-    particles: list[Particle]
-    gbest: np.ndarray
-    gbest_fitness: float
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -92,6 +87,12 @@ class SwarmConfig:
     mode: str = "adaptive"
 
     def __post_init__(self):
+        for name in (
+            "w_max", "w_min", "c1_init", "c1_final", "c2_init", "c2_final",
+            "constant_w", "constant_c", "variance_tol",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.swarm_size < 1:
             raise ValueError("swarm_size must be positive")
         if self.n_max < 1:
@@ -176,6 +177,42 @@ def adaptive_learning_factors(
     return c1, c2
 
 
+def _step(
+    dataset: PixelDataset,
+    position: np.ndarray,
+    velocity: np.ndarray,
+    pbest: np.ndarray,
+    pbest_fitness: np.ndarray,
+    gbest: np.ndarray,
+    w: np.ndarray,
+    c1: float,
+    c2: float,
+    r: np.ndarray,
+    config: SwarmConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Advance every row of the swarm: velocity update, move, clamp, re-evaluate.
+
+    Row i uses inertia ``w[i]`` and draws ``r[i] = (r1, r2)``, shared across
+    all of its dimensions. The new velocity is clamped per component to
+    +/- v_max_fraction * 255 and the new position to [0, 255]; a personal
+    best moves to the new position where that improves on it. Returns the
+    new (position, velocity, fitness, pbest, pbest_fitness).
+    """
+    v_cap = config.v_max_fraction * (POSITION_HI - POSITION_LO)
+    velocity = (
+        w[:, None] * velocity
+        + (c1 * r[:, :1]) * (pbest - position)
+        + (c2 * r[:, 1:]) * (gbest - position)
+    )
+    np.clip(velocity, -v_cap, v_cap, out=velocity)
+    position = np.clip(position + velocity, POSITION_LO, POSITION_HI)
+    fitness = np.array([particle_fitness(dataset, row) for row in position])
+    improved = fitness < pbest_fitness
+    pbest = np.where(improved[:, None], position, pbest)
+    pbest_fitness = np.where(improved, fitness, pbest_fitness)
+    return position, velocity, fitness, pbest, pbest_fitness
+
+
 def step_particle(
     p: Particle,
     gbest: np.ndarray,
@@ -186,59 +223,21 @@ def step_particle(
     config: SwarmConfig,
     rng: np.random.Generator,
 ) -> Particle:
-    """Advance one particle: velocity update, move, clamp, re-evaluate.
+    """Advance one particle with the swarm step's formula.
 
-    r1 and r2 are drawn once per call and shared across all dimensions. The
-    new velocity is clamped per component to +/- v_max_fraction * 255 and
-    the new position to [0, 255]; the personal best is updated when the new
-    position improves on it.
+    r1 then r2 are drawn from ``rng``, as row i of a whole-swarm step.
     """
-    r1 = rng.random()
-    r2 = rng.random()
-    v_cap = config.v_max_fraction * (POSITION_HI - POSITION_LO)
-    velocity = (
-        w * p.velocity
-        + c1 * r1 * (p.pbest - p.position)
-        + c2 * r2 * (gbest - p.position)
+    r = np.array([[rng.random(), rng.random()]])
+    position, velocity, fitness, pbest, pbest_fitness = _step(
+        dataset, p.position[None], p.velocity[None], p.pbest[None],
+        np.array([p.pbest_fitness]), gbest, np.array([w]), c1, c2, r, config,
     )
-    np.clip(velocity, -v_cap, v_cap, out=velocity)
-    position = np.clip(p.position + velocity, POSITION_LO, POSITION_HI)
-    fitness = particle_fitness(dataset, position)
-    if fitness < p.pbest_fitness:
-        pbest, pbest_fitness = position.copy(), fitness
-    else:
-        pbest, pbest_fitness = p.pbest, p.pbest_fitness
     return Particle(
-        position=position,
-        velocity=velocity,
-        pbest=pbest,
-        pbest_fitness=pbest_fitness,
-        fitness=fitness,
-    )
-
-
-def _init_state(
-    dataset: PixelDataset, config: ClusterConfig, sconfig: SwarmConfig,
-    rng: np.random.Generator,
-) -> SwarmState:
-    particles = []
-    for _ in range(sconfig.swarm_size):
-        pos = sample_distinct_pixels(dataset, config.cluster_count, rng).ravel()
-        fit = particle_fitness(dataset, pos)
-        particles.append(
-            Particle(
-                position=pos,
-                velocity=np.zeros_like(pos),
-                pbest=pos.copy(),
-                pbest_fitness=fit,
-                fitness=fit,
-            )
-        )
-    best = min(range(len(particles)), key=lambda i: particles[i].pbest_fitness)
-    return SwarmState(
-        particles=particles,
-        gbest=particles[best].pbest.copy(),
-        gbest_fitness=particles[best].pbest_fitness,
+        position=position[0],
+        velocity=velocity[0],
+        pbest=pbest[0],
+        pbest_fitness=float(pbest_fitness[0]),
+        fitness=float(fitness[0]),
     )
 
 
@@ -256,7 +255,16 @@ def run_swarm(
     """
     validate_config(config, dataset)
     rng = np.random.default_rng(config.seed)
-    state = _init_state(dataset, config, sconfig, rng)
+    size = sconfig.swarm_size
+    position = np.stack([
+        sample_distinct_pixels(dataset, config.cluster_count, rng).ravel()
+        for _ in range(size)
+    ])
+    fitness = np.array([particle_fitness(dataset, row) for row in position])
+    velocity = np.zeros_like(position)
+    pbest, pbest_fitness = position.copy(), fitness.copy()
+    best = int(np.argmin(pbest_fitness))
+    gbest, gbest_fitness = pbest[best].copy(), float(pbest_fitness[best])
 
     gbest_hist: list[float] = []
     favg_hist: list[float] = []
@@ -264,8 +272,8 @@ def run_swarm(
     converged = False
 
     for n in range(sconfig.n_max + 1):
-        stats = swarm_stats([p.fitness for p in state.particles])
-        gbest_hist.append(state.gbest_fitness)
+        stats = swarm_stats(fitness)
+        gbest_hist.append(gbest_fitness)
         favg_hist.append(stats.f_avg)
         var_hist.append(stats.variance)
         if stats.variance / max(stats.f_avg**2, EPS_ZERO) <= sconfig.variance_tol:
@@ -276,30 +284,25 @@ def run_swarm(
 
         if sconfig.mode == "adaptive":
             c1, c2 = adaptive_learning_factors(n, sconfig)
+            w = np.array([adaptive_inertia(f, stats, sconfig) for f in fitness])
         else:
             c1, c2 = sconfig.constant_c, sconfig.constant_c
+            w = np.full(size, sconfig.constant_w)
+        position, velocity, fitness, pbest, pbest_fitness = _step(
+            dataset, position, velocity, pbest, pbest_fitness, gbest,
+            w, c1, c2, rng.random((size, 2)), sconfig,
+        )
+        best = int(np.argmin(pbest_fitness))
+        if pbest_fitness[best] < gbest_fitness:
+            gbest, gbest_fitness = pbest[best].copy(), float(pbest_fitness[best])
 
-        for i, p in enumerate(state.particles):
-            if sconfig.mode == "adaptive":
-                w = adaptive_inertia(p.fitness, stats, sconfig)
-            else:
-                w = sconfig.constant_w
-            state.particles[i] = step_particle(
-                p, state.gbest, dataset, w, c1, c2, sconfig, rng
-            )
-        for p in state.particles:
-            if p.pbest_fitness < state.gbest_fitness:
-                state.gbest_fitness = p.pbest_fitness
-                state.gbest = p.pbest.copy()
-        state.iteration = n + 1
-
-    centers = state.gbest.reshape(config.cluster_count, dataset.n_channels)
+    centers = gbest.reshape(config.cluster_count, dataset.n_channels)
     centers = np.clip(centers, POSITION_LO, POSITION_HI)
     history = SwarmHistory(
         gbest_fitness=np.array(gbest_hist),
         f_avg=np.array(favg_hist),
         variance=np.array(var_hist),
-        iterations=state.iteration,
+        iterations=n,
         converged=converged,
     )
     return centers, history

@@ -153,7 +153,15 @@ def test_zero_clusters_is_a_usage_error(tmp_path):
 def test_bad_fuzzifier_is_a_usage_error(tmp_path):
     src = tmp_path / "in.ppm"
     write_block_image(src)
-    code = run_cli(["segment", str(src), str(tmp_path / "o.ppm"), "--fuzzifier", "1.0"])
+    for value in ("1.0", "inf"):
+        code = run_cli(["segment", str(src), str(tmp_path / "o.ppm"), "--fuzzifier", value])
+        assert code == 2
+
+
+def test_non_finite_swarm_coefficient_is_a_usage_error(tmp_path):
+    src = tmp_path / "in.ppm"
+    write_block_image(src)
+    code = run_cli(["segment", str(src), str(tmp_path / "o.ppm"), "--c1-init", "nan"])
     assert code == 2
 
 

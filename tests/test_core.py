@@ -76,8 +76,16 @@ def test_cluster_config_validation():
         ClusterConfig(fuzzifier=1.0)
     with pytest.raises(InvalidFuzzifierError):
         ClusterConfig(fuzzifier=0.5)
+    with pytest.raises(InvalidFuzzifierError):
+        ClusterConfig(fuzzifier=float("inf"))
+    with pytest.raises(InvalidFuzzifierError):
+        ClusterConfig(fuzzifier=float("nan"))
     with pytest.raises(ValueError):
         ClusterConfig(fcm_rel_tol=0.0)
+    with pytest.raises(ValueError):
+        ClusterConfig(fcm_rel_tol=float("inf"))
+    with pytest.raises(ValueError):
+        ClusterConfig(fcm_rel_tol=float("nan"))
     with pytest.raises(ValueError):
         ClusterConfig(seed=-1)
     with pytest.raises(ValueError):

@@ -223,3 +223,17 @@ def test_run_fcm_rejects_wrong_center_shape():
     ds = scalar_dataset([0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
         run_fcm(ds, np.array([[0.0]]), ClusterConfig(cluster_count=2))
+
+
+def test_run_fcm_reseeds_dead_cluster_on_farthest_pixel():
+    # Centers 0 and 2 coincide, so pixel 0 goes crisp to the first of them,
+    # and with m = 1.001 pixel 20's weight on them underflows: column 2
+    # dies. The live centers become 0 and 15, leaving pixels 10 and 20
+    # tied farthest (25 each); the tie goes to the lower index, so center 2
+    # restarts on pixel 10 and then center 1 settles on 20.
+    ds = scalar_dataset([0.0, 10.0, 20.0])
+    config = ClusterConfig(cluster_count=3, fuzzifier=1.001)
+    result = run_fcm(ds, np.array([[0.0], [10.0], [0.0]]), config)
+    assert result.centers[:, 0].tolist() == [0.0, 20.0, 10.0]
+    assert result.labels.tolist() == [0, 2, 1]
+    assert result.jm_trajectory[-1] == 0.0

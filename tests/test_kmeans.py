@@ -7,6 +7,7 @@ from swarmseg.core import (
     ClusterConfig,
     PixelDataset,
     TooManyClustersError,
+    sample_distinct_pixels,
     squared_distances,
 )
 from swarmseg.kmeans import run_kmeans
@@ -120,3 +121,20 @@ def test_deterministic_for_equal_seeds():
     assert np.array_equal(a.centers, b.centers)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.sse_trajectory, b.sse_trajectory)
+
+
+def test_empty_cluster_is_reseeded_on_farthest_pixel():
+    values = [4, 54, 102, 51, 53, 201, 201, 203, 52, 101, 202, 52]
+    ds = scalar_dataset(values)
+    config = ClusterConfig(cluster_count=4, seed=2)
+    start = sample_distinct_pixels(ds, 4, np.random.default_rng(2))
+    assert start[:, 0].tolist() == [102.0, 4.0, 101.0, 202.0]
+    # First update: {102}, {4, 51, 52, 52}, {53, 54, 101}, {201, 202, 203}
+    # gives centers 102, 39.75, 69.33.., 201.75. The second assignment
+    # leaves cluster 2 empty; pixel 4 is then farthest from its center
+    # (35.75 from 39.75), so cluster 2 restarts there and cluster 1 ends
+    # on the mean of 51..54.
+    result = run_kmeans(ds, config)
+    assert result.centers[:, 0].tolist() == [101.5, 262.0 / 5, 4.0, 201.75]
+    assert result.labels.tolist() == [2, 1, 0, 1, 1, 3, 3, 3, 1, 0, 3, 1]
+    assert result.converged

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from swarmseg.core import ClusterConfig, PixelDataset
+from swarmseg.core import ClusterConfig, PixelDataset, sample_distinct_pixels
 from swarmseg.swarm import (
     Particle,
     SwarmConfig,
@@ -298,6 +298,72 @@ def test_run_swarm_identical_for_equal_seeds():
     assert np.array_equal(h1.variance, h2.variance)
 
 
+def per_particle_swarm(dataset, config, sconfig):
+    """The swarm loop written particle by particle from the public pieces.
+
+    One generator drives it in the documented order: each particle's
+    distinct-pixel start in turn, then per step one ``step_particle`` call
+    per particle in ascending index, and a strict-``<`` gbest scan.
+    """
+    rng = np.random.default_rng(config.seed)
+    particles = []
+    for _ in range(sconfig.swarm_size):
+        pos = sample_distinct_pixels(dataset, config.cluster_count, rng).ravel()
+        fit = particle_fitness(dataset, pos)
+        particles.append(make_particle(pos, np.zeros_like(pos), pos.copy(), fit))
+    gbest, gbest_fitness = None, np.inf
+    gbest_hist, favg_hist, var_hist = [], [], []
+    converged = False
+    for n in range(sconfig.n_max + 1):
+        for p in particles:
+            if p.pbest_fitness < gbest_fitness:
+                gbest, gbest_fitness = p.pbest.copy(), p.pbest_fitness
+        stats = swarm_stats([p.fitness for p in particles])
+        gbest_hist.append(gbest_fitness)
+        favg_hist.append(stats.f_avg)
+        var_hist.append(stats.variance)
+        if stats.variance / max(stats.f_avg**2, 1e-12) <= sconfig.variance_tol:
+            converged = True
+            break
+        if n == sconfig.n_max:
+            break
+        if sconfig.mode == "adaptive":
+            c1, c2 = adaptive_learning_factors(n, sconfig)
+        else:
+            c1 = c2 = sconfig.constant_c
+        for i, p in enumerate(particles):
+            if sconfig.mode == "adaptive":
+                w = adaptive_inertia(p.fitness, stats, sconfig)
+            else:
+                w = sconfig.constant_w
+            particles[i] = step_particle(p, gbest, dataset, w, c1, c2, sconfig, rng)
+    centers = np.clip(gbest.reshape(config.cluster_count, -1), 0.0, 255.0)
+    return centers, gbest_hist, favg_hist, var_hist, n, converged
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "classic"])
+@pytest.mark.parametrize("cluster_count", [2, 8])
+@pytest.mark.parametrize("variance_tol", [1e-3, 0.0])
+def test_run_swarm_matches_per_particle_loop(mode, cluster_count, variance_tol):
+    rng = np.random.default_rng(cluster_count)
+    px = rng.integers(0, 256, size=(48, 3)).astype(np.float64)
+    ds = PixelDataset(pixels=px, width=8, height=6)
+    config = ClusterConfig(cluster_count=cluster_count, seed=11)
+    sconfig = SwarmConfig(
+        swarm_size=7, n_max=40, mode=mode, variance_tol=variance_tol
+    )
+    centers, history = run_swarm(ds, config, sconfig)
+    want_centers, gbest, f_avg, variance, iterations, converged = (
+        per_particle_swarm(ds, config, sconfig)
+    )
+    assert np.array_equal(centers, want_centers)
+    assert np.array_equal(history.gbest_fitness, gbest)
+    assert np.array_equal(history.f_avg, f_avg)
+    assert np.array_equal(history.variance, variance)
+    assert history.iterations == iterations
+    assert history.converged == converged
+
+
 def test_run_swarm_classic_mode():
     ds = scalar_dataset([0.0, 1.0, 9.0, 10.0])
     centers, history = run_swarm(
@@ -326,6 +392,13 @@ def test_config_validation():
         SwarmConfig(v_max_fraction=0.0)
     with pytest.raises(ValueError):
         SwarmConfig(variance_tol=-1.0)
+    for name in (
+        "w_max", "w_min", "c1_init", "c1_final", "c2_init", "c2_final",
+        "constant_w", "constant_c", "variance_tol",
+    ):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                SwarmConfig(**{name: bad})
     # flat schedules (all four endpoints equal) are allowed
     flat = SwarmConfig(c1_init=2.0, c1_final=2.0, c2_init=2.0, c2_final=2.0)
     assert adaptive_learning_factors(17, flat) == (2.0, 2.0)
