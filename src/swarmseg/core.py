@@ -25,6 +25,15 @@ import numpy as np
 # spreads). Also the floor used to keep relative tolerances well defined.
 EPS_ZERO = 1e-12
 
+# Pixels per block of the distance kernel: the (rows, PIXEL_BLOCK) work
+# arrays stay cache-resident, and blocking never changes a result.
+PIXEL_BLOCK = 8192
+
+# Center sets scored per sweep over the pixels by ``quantization_errors``.
+# Scoring the whole swarm in one sweep is slower: its work arrays leave
+# the cache.
+CENTER_SETS_PER_SWEEP = 2
+
 
 class InvalidFuzzifierError(ValueError):
     """Fuzziness exponent must be a real number greater than 1."""
@@ -94,19 +103,17 @@ class PixelDataset:
         return np.unique(self.pixels, axis=0)
 
     @cached_property
-    def channel_views(self) -> tuple[np.ndarray, ...]:
-        """Contiguous read-only copies of the pixel columns, one per channel.
+    def channel_views(self) -> np.ndarray:
+        """Read-only channel-major copy of ``pixels``, shape (d, N).
 
-        Hot loops (swarm fitness evaluation runs thousands of times per
-        search) stream over single channels; column views of ``pixels``
-        are strided, so this one-time copy pays for itself immediately.
+        Row k is channel k as one contiguous (N,) array. The swarm's fitness
+        runs thousands of times per search and streams over pixel blocks of
+        these rows; the one-time copy pays for itself at once. Only the swarm
+        path builds it, so single FCM or k-means runs on large images never
+        hold this second copy.
         """
-        cols = tuple(
-            np.ascontiguousarray(self.pixels[:, k])
-            for k in range(self.pixels.shape[1])
-        )
-        for col in cols:
-            col.setflags(write=False)
+        cols = np.ascontiguousarray(self.pixels.T)
+        cols.setflags(write=False)
         return cols
 
 
@@ -145,7 +152,7 @@ def validate_config(config: ClusterConfig, dataset: PixelDataset) -> ClusterConf
     exceed the number of distinct pixel values (otherwise no engine can
     place that many distinct centers).
     """
-    distinct = len(dataset.distinct_values())
+    distinct = _count_distinct(dataset.pixels, config.cluster_count)
     if config.cluster_count > distinct:
         raise TooManyClustersError(
             f"requested {config.cluster_count} clusters but the image has "
@@ -154,48 +161,141 @@ def validate_config(config: ClusterConfig, dataset: PixelDataset) -> ClusterConf
     return config
 
 
+def _count_distinct(pixels: np.ndarray, limit: int) -> int:
+    """Number of distinct rows of ``pixels``, counted no further than ``limit``.
+
+    Takes the first row, then repeatedly the first row equal to none taken
+    so far; every row before a taken one equals an earlier taken row, so
+    each pass scans only the rows after it. Costs one vectorised pass per
+    value counted, with no sort, and is exact below ``limit``.
+    """
+    fresh = np.ones(pixels.shape[0], dtype=bool)
+    count = i = 0
+    while count < limit:
+        count += 1
+        fresh[i:] &= np.any(pixels[i:] != pixels[i], axis=1)
+        i += int(np.argmax(fresh[i:]))
+        if not fresh[i]:
+            break
+    return count
+
+
+def _block_squared_distances(
+    cols: np.ndarray, centers: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """Squared distances from a channel-major pixel block to every center row.
+
+    ``cols`` is a (d, B) block whose rows are contiguous channels, and
+    ``centers`` is (R, d). Writes and returns ``out[r, i] = sum_k
+    (cols[k, i] - centers[r, k])**2`` as (R, B), accumulated channel by
+    channel in index order from explicit differences (never the expanded
+    x.x - 2x.c + c.c form, never BLAS), so results are exact for integer
+    inputs and bit-stable regardless of thread settings. ``tmp`` is
+    scratch of the same shape.
+    """
+    np.subtract(cols[0], centers[:, :1], out=out)
+    out *= out
+    for k in range(1, cols.shape[0]):
+        np.subtract(cols[k], centers[:, k : k + 1], out=tmp)
+        tmp *= tmp
+        out += tmp
+    return out
+
+
 def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between points (N, d) and centers (C, d).
 
-    Computed per center from explicit differences (never via the expanded
-    x.x - 2x.c + c.c form and never through BLAS) so results are exact for
-    integer-valued inputs and bit-stable regardless of thread settings.
+    Returns an (N, C) array. Each pixel block is transposed to channel
+    major and run through the shared distance kernel, so entries are exact
+    for integer-valued inputs and bit-stable regardless of thread settings.
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    n, c = points.shape[0], centers.shape[0]
+    n, d = points.shape
+    c = centers.shape[0]
     d2 = np.empty((n, c), dtype=np.float64)
-    for k in range(c):
-        diff = points - centers[k]
-        d2[:, k] = np.sum(diff * diff, axis=1)
+    width = min(n, PIXEL_BLOCK)
+    cols = np.empty((d, width))
+    out = np.empty((c, width))
+    tmp = np.empty((c, width))
+    for start in range(0, n, PIXEL_BLOCK):
+        b = min(n - start, PIXEL_BLOCK)
+        np.copyto(cols[:, :b], points[start : start + b].T)
+        block = _block_squared_distances(cols[:, :b], centers, out[:, :b], tmp[:, :b])
+        d2[start : start + b] = block.T
     return d2
+
+
+def _nearest_squared_distances(
+    cols: np.ndarray,
+    centers: np.ndarray,
+    sets: int,
+    mins: np.ndarray,
+    work: np.ndarray,
+) -> None:
+    """Fill ``mins[s]`` with each pixel's squared distance to set s's nearest center.
+
+    ``cols`` is the (d, N) channel-major dataset, ``centers`` stacks
+    ``sets`` center sets of equal size as (sets * C, d) rows, ``mins`` is
+    at least (sets, N) and ``work`` is scratch of at least (2, sets * C,
+    min(N, PIXEL_BLOCK)); callers allocate it once for many calls, since
+    fresh blocks of that size cost a page fault per page. The minimum is
+    exact, so the result depends neither on the blocking nor on how the
+    sets are grouped.
+    """
+    n = cols.shape[1]
+    rows = centers.shape[0]
+    for start in range(0, n, PIXEL_BLOCK):
+        b = min(n - start, PIXEL_BLOCK)
+        block = _block_squared_distances(
+            cols[:, start : start + b], centers, work[0, :rows, :b], work[1, :rows, :b]
+        )
+        per_set = block.reshape(sets, rows // sets, b)
+        np.min(per_set, axis=1, out=mins[:sets, start : start + b])
 
 
 def min_squared_distances(dataset: PixelDataset, centers: np.ndarray) -> np.ndarray:
     """Squared distance from each pixel to its nearest center, shape (N,).
 
-    Numerically identical to ``squared_distances(...).min(axis=1)`` (same
-    per-channel accumulation order, and the minimum is exact), but computed
-    channel by channel over contiguous columns with reused buffers. This is
-    the swarm's fitness kernel, evaluated once per particle per iteration.
+    Numerically identical to ``squared_distances(...).min(axis=1)`` (the
+    same kernel, and the minimum is exact), but read from the cached
+    channel-major ``channel_views``. The one-set reference for
+    :func:`quantization_errors`.
     """
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] < 1:
         raise ValueError("centers must be a non-empty (C, d) array")
+    n = dataset.n_pixels
+    mins = np.empty((1, n))
+    work = np.empty((2, centers.shape[0], min(n, PIXEL_BLOCK)))
+    _nearest_squared_distances(dataset.channel_views, centers, 1, mins, work)
+    return mins[0]
+
+
+def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.ndarray:
+    """Quantization error of each of P center sets given as (P, C, d), shape (P,).
+
+    Entry p equals ``np.sum(min_squared_distances(dataset, center_sets[p]))``
+    bit for bit: the nearest-center distances are the same, and each set's
+    error is one sum over its whole (N,) row of them. The sets are scored
+    ``CENTER_SETS_PER_SWEEP`` at a time per sweep over the pixel blocks.
+    """
+    sets = np.asarray(center_sets, dtype=np.float64)
+    if sets.ndim != 3 or sets.shape[1] < 1:
+        raise ValueError("center_sets must be a (P, C, d) array with C >= 1")
+    p, c, d = sets.shape
     cols = dataset.channel_views
     n = dataset.n_pixels
-    best = np.full(n, np.inf)
-    acc = np.empty(n)
-    tmp = np.empty(n)
-    for center in centers:
-        np.subtract(cols[0], center[0], out=acc)
-        acc *= acc
-        for k in range(1, len(cols)):
-            np.subtract(cols[k], center[k], out=tmp)
-            tmp *= tmp
-            acc += tmp
-        np.minimum(best, acc, out=best)
-    return best
+    per_sweep = min(p, CENTER_SETS_PER_SWEEP)
+    errors = np.empty(p)
+    mins = np.empty((per_sweep, n))
+    work = np.empty((2, per_sweep * c, min(n, PIXEL_BLOCK)))
+    for first in range(0, p, CENTER_SETS_PER_SWEEP):
+        group = sets[first : first + CENTER_SETS_PER_SWEEP]
+        _nearest_squared_distances(cols, group.reshape(-1, d), len(group), mins, work)
+        for s in range(len(group)):
+            errors[first + s] = np.sum(mins[s])
+    return errors
 
 
 def assign_nearest(dataset: PixelDataset, centers: np.ndarray) -> np.ndarray:

@@ -55,16 +55,24 @@ def compute_memberships(
     if not fuzzifier > 1.0:
         raise ValueError("fuzzifier must be > 1")
     centers = np.asarray(centers, dtype=np.float64)
-    d2 = squared_distances(dataset.pixels, centers)
+    return _memberships(squared_distances(dataset.pixels, centers), fuzzifier)
+
+
+def _memberships(d2: np.ndarray, fuzzifier: float) -> np.ndarray:
+    """``compute_memberships`` from the (N, C) squared distances, left unchanged.
+
+    Works in one (N, C) buffer besides ``d2``: each ufunc writes in place.
+    """
     at_center = d2 < EPS_ZERO**2
 
     # Work on squared distances: (d_ij/d_ik)^(2/(m-1)) == (D_ij/D_ik)^(1/(m-1)).
-    # Dividing each row by its minimum keeps every ratio in (0, 1], so large
-    # exponents underflow harmlessly instead of overflowing.
-    d2_safe = np.maximum(d2, EPS_ZERO**2)
-    dmin = d2_safe.min(axis=1, keepdims=True)
-    weights = (dmin / d2_safe) ** (1.0 / (fuzzifier - 1.0))
-    u = weights / weights.sum(axis=1, keepdims=True)
+    # Dividing each row's minimum by its entries keeps every ratio in (0, 1], so
+    # large exponents underflow harmlessly instead of overflowing. ``**=`` takes
+    # the same scalar-exponent path (square, sqrt, copy) as ``**`` does.
+    u = np.maximum(d2, EPS_ZERO**2)
+    np.divide(u.min(axis=1, keepdims=True), u, out=u)
+    u **= 1.0 / (fuzzifier - 1.0)
+    u /= u.sum(axis=1, keepdims=True)
 
     crisp_rows = np.where(at_center.any(axis=1))[0]
     if crisp_rows.size:
@@ -124,8 +132,14 @@ def fcm_objective(
 ) -> float:
     """Membership-weighted sum of squared pixel-to-center distances."""
     d2 = squared_distances(dataset.pixels, np.asarray(centers, dtype=np.float64))
-    u = np.asarray(memberships, dtype=np.float64)
-    return float(np.sum((u**fuzzifier) * d2))
+    return _objective(d2, np.asarray(memberships, dtype=np.float64), fuzzifier)
+
+
+def _objective(d2: np.ndarray, u: np.ndarray, fuzzifier: float) -> float:
+    """``fcm_objective`` from the (N, C) squared distances of its centers."""
+    weighted = u**fuzzifier
+    weighted *= d2
+    return float(np.sum(weighted))
 
 
 def _reseed_dead(
@@ -161,8 +175,10 @@ def run_fcm(
         )
     m = config.fuzzifier
 
-    u = compute_memberships(dataset, centers, m)
-    jm = fcm_objective(dataset, centers, u, m)
+    # One d2 per alternation feeds both the memberships and the objective.
+    d2 = squared_distances(dataset.pixels, centers)
+    u = _memberships(d2, m)
+    jm = _objective(d2, u, m)
     trajectory = [jm]
     converged = False
     consecutive_dead = 0
@@ -179,8 +195,9 @@ def run_fcm(
         else:
             consecutive_dead = 0
         centers = new_centers
-        u = compute_memberships(dataset, centers, m)
-        jm_new = fcm_objective(dataset, centers, u, m)
+        d2 = squared_distances(dataset.pixels, centers)
+        u = _memberships(d2, m)
+        jm_new = _objective(d2, u, m)
         trajectory.append(jm_new)
         if abs(jm - jm_new) <= config.fcm_rel_tol * max(jm, EPS_ZERO):
             converged = True

@@ -130,24 +130,30 @@ def to_dataset(image: RawImage, max_side: int | None = None) -> PixelDataset:
     averaged over the pixels present). The factor k is the smallest integer
     bringing the longer side within ``max_side``.
     """
-    arr = np.frombuffer(image.rgb8, dtype=np.uint8).reshape(
+    rgb = np.frombuffer(image.rgb8, dtype=np.uint8).reshape(
         image.height, image.width, 3
-    ).astype(np.float64)
-
+    )
+    k = 1
     if max_side is not None:
         if max_side < 1:
             raise ValueError("max_side must be positive")
         longer = max(image.width, image.height)
         if longer > max_side:
             k = -(-longer // max_side)  # ceil division
-            out_h = -(-image.height // k)
-            out_w = -(-image.width // k)
-            blocks = np.empty((out_h, out_w, 3), dtype=np.float64)
-            for i in range(out_h):
-                for j in range(out_w):
-                    block = arr[i * k : (i + 1) * k, j * k : (j + 1) * k]
-                    blocks[i, j] = block.mean(axis=(0, 1))
-            arr = blocks
+
+    if k == 1:
+        arr = rgb.astype(np.float64)
+    else:
+        # Block sums of 8-bit values are exact integers in float64, so
+        # summing rows first, then columns, gives each block mean the same
+        # bits as averaging the block directly.
+        row_starts = np.arange(0, image.height, k)
+        col_starts = np.arange(0, image.width, k)
+        sums = np.add.reduceat(rgb, row_starts, axis=0, dtype=np.float64)
+        sums = np.add.reduceat(sums, col_starts, axis=1)
+        rows = np.diff(row_starts, append=image.height)
+        cols = np.diff(col_starts, append=image.width)
+        arr = sums / (rows[:, None] * cols[None, :])[:, :, None]
 
     h, w = arr.shape[0], arr.shape[1]
     return PixelDataset(pixels=arr.reshape(h * w, 3), width=w, height=h)

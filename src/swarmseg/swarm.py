@@ -11,9 +11,11 @@ A particle's position is a flattened (C*d,) array of center coordinates;
 its fitness is the total squared distance from every pixel to its nearest
 center (the quantization error of that center set). The swarm is held as
 (P, C*d) position, velocity and personal-best arrays plus a (P,) array of
-personal-best fitness, and one step advances every row at once. The swarm
-stops when the relative fitness variance collapses or the iteration budget
-runs out.
+personal-best fitness, and one step advances every row at once. One
+``swarm_fitness`` call per step scores the whole swarm: it sweeps the
+channel-major pixels a few particles at a time and matches
+``particle_fitness`` row by row bit for bit. The swarm stops when the
+relative fitness variance collapses or the iteration budget runs out.
 
 Determinism contract: one seeded generator drives the whole run, consumed
 in a fixed order: the particles are initialized one by one, then each step
@@ -34,6 +36,7 @@ from .core import (
     ClusterConfig,
     PixelDataset,
     min_squared_distances,
+    quantization_errors,
     sample_distinct_pixels,
     validate_config,
 )
@@ -135,6 +138,16 @@ def particle_fitness(dataset: PixelDataset, position: np.ndarray) -> float:
     return float(np.sum(min_squared_distances(dataset, centers)))
 
 
+def swarm_fitness(dataset: PixelDataset, position: np.ndarray) -> np.ndarray:
+    """``particle_fitness`` of every row of a (P, C*d) position array, shape (P,).
+
+    Bit-identical to scoring the rows one by one, at a fraction of the cost.
+    """
+    return quantization_errors(
+        dataset, position.reshape(position.shape[0], -1, dataset.n_channels)
+    )
+
+
 def swarm_stats(fitnesses: np.ndarray) -> SwarmStats:
     """Mean, minimum, and population variance of the swarm's fitness values."""
     f = np.asarray(fitnesses, dtype=np.float64)
@@ -206,7 +219,7 @@ def _step(
     )
     np.clip(velocity, -v_cap, v_cap, out=velocity)
     position = np.clip(position + velocity, POSITION_LO, POSITION_HI)
-    fitness = np.array([particle_fitness(dataset, row) for row in position])
+    fitness = swarm_fitness(dataset, position)
     improved = fitness < pbest_fitness
     pbest = np.where(improved[:, None], position, pbest)
     pbest_fitness = np.where(improved, fitness, pbest_fitness)
@@ -260,7 +273,7 @@ def run_swarm(
         sample_distinct_pixels(dataset, config.cluster_count, rng).ravel()
         for _ in range(size)
     ])
-    fitness = np.array([particle_fitness(dataset, row) for row in position])
+    fitness = swarm_fitness(dataset, position)
     velocity = np.zeros_like(position)
     pbest, pbest_fitness = position.copy(), fitness.copy()
     best = int(np.argmin(pbest_fitness))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swarmseg.core import (
+    PIXEL_BLOCK,
     ClusterConfig,
     InvalidClusterCountError,
     InvalidFuzzifierError,
@@ -99,6 +100,23 @@ def test_validate_config_against_dataset():
         validate_config(ClusterConfig(cluster_count=4), ds)
 
 
+def test_validate_config_reports_exact_distinct_count():
+    # duplicates interleaved: 4 distinct values, the last first seen at the end
+    ds = PixelDataset(
+        pixels=np.array(
+            [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [1.0, 5.0], [3.0, 4.0],
+             [1.0, 2.0], [1.0, 5.0], [3.0, 4.0], [0.0, 0.0], [1.0, 2.0]]
+        ),
+        width=10,
+        height=1,
+    )
+    for count in (1, 2, 3, 4):
+        assert validate_config(ClusterConfig(cluster_count=count), ds) is not None
+    for count in (5, 9):
+        with pytest.raises(TooManyClustersError, match=r"only 4 distinct pixel values"):
+            validate_config(ClusterConfig(cluster_count=count), ds)
+
+
 def test_squared_distances_brute_force():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -121,18 +139,28 @@ def test_squared_distances_exact_on_integers():
     assert d2.tolist() == [[1.0, 100.0], [4.0, 49.0]]
 
 
+def per_center_squared_distances(points, centers):
+    """Reference (N, C) distances: one explicit difference per center."""
+    d2 = np.empty((len(points), len(centers)))
+    for k, center in enumerate(centers):
+        diff = points - center
+        d2[:, k] = np.sum(diff * diff, axis=1)
+    return d2
+
+
 def test_min_squared_distances_matches_reference_bitwise():
     rng = np.random.default_rng(11)
-    for _ in range(100):
-        n = int(rng.integers(1, 60))
+    sizes = [int(rng.integers(1, 60)) for _ in range(100)]
+    sizes += [PIXEL_BLOCK - 1, PIXEL_BLOCK, PIXEL_BLOCK + 1, 2 * PIXEL_BLOCK + 37]
+    for n in sizes:
         d = int(rng.integers(1, 4))
         c = int(rng.integers(1, 7))
         px = rng.uniform(0, 255, (n, d))
         ds = PixelDataset(pixels=px, width=n, height=1)
         centers = rng.uniform(0, 255, (c, d))
-        fused = min_squared_distances(ds, centers)
-        reference = squared_distances(ds.pixels, centers).min(axis=1)
-        assert np.array_equal(fused, reference)
+        reference = per_center_squared_distances(ds.pixels, centers)
+        assert np.array_equal(squared_distances(ds.pixels, centers), reference)
+        assert np.array_equal(min_squared_distances(ds, centers), reference.min(axis=1))
 
 
 def test_assign_nearest_basic_and_tie_break():

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from swarmseg.core import ClusterConfig, DeadClusterError, PixelDataset
+from swarmseg.core import (
+    PIXEL_BLOCK,
+    ClusterConfig,
+    DeadClusterError,
+    PixelDataset,
+    squared_distances,
+)
 from swarmseg.fcm import (
+    _reseed_dead,
+    _update_centers_partial,
     compute_memberships,
     fcm_objective,
     run_fcm,
@@ -84,6 +92,26 @@ def test_membership_rows_sum_to_one():
         sums = u.sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-9)
         assert np.all(u >= 0.0)
+
+
+@pytest.mark.parametrize("fuzzifier", [1.5, 2.0, 3.0, 2.5])
+def test_memberships_match_out_of_place_formula_bitwise(fuzzifier):
+    rng = np.random.default_rng(4)
+    for c in (2, 9):
+        px = np.round(rng.uniform(0, 255, (500, 3)))
+        ds = PixelDataset(pixels=px, width=500, height=1)
+        centers = px[:c] + rng.uniform(-2, 2, (c, 3))
+        centers[0] = px[7]  # pixel 7 is crisp
+        d2 = squared_distances(ds.pixels, centers)
+        d2_safe = np.maximum(d2, 1e-24)
+        weights = (d2_safe.min(axis=1, keepdims=True) / d2_safe) ** (
+            1.0 / (fuzzifier - 1.0)
+        )
+        want = weights / weights.sum(axis=1, keepdims=True)
+        crisp = np.where((d2 < 1e-24).any(axis=1))[0]
+        want[crisp] = 0.0
+        want[crisp, np.argmax(d2[crisp] < 1e-24, axis=1)] = 1.0
+        assert np.array_equal(compute_memberships(ds, centers, fuzzifier), want)
 
 
 def test_membership_rejects_bad_fuzzifier():
@@ -237,3 +265,38 @@ def test_run_fcm_reseeds_dead_cluster_on_farthest_pixel():
     assert result.centers[:, 0].tolist() == [0.0, 20.0, 10.0]
     assert result.labels.tolist() == [0, 2, 1]
     assert result.jm_trajectory[-1] == 0.0
+
+
+def fcm_loop(dataset, centers, config):
+    """run_fcm's alternation written from the per-step functions."""
+    m = config.fuzzifier
+    u = compute_memberships(dataset, centers, m)
+    trajectory = [fcm_objective(dataset, centers, u, m)]
+    for _ in range(config.fcm_max_iters):
+        centers, dead = _update_centers_partial(dataset, u, m)
+        if dead:
+            centers = _reseed_dead(dataset, centers, dead)
+        u = compute_memberships(dataset, centers, m)
+        trajectory.append(fcm_objective(dataset, centers, u, m))
+        if abs(trajectory[-2] - trajectory[-1]) <= config.fcm_rel_tol * trajectory[-2]:
+            break
+    return np.clip(centers, 0.0, 255.0), u, np.array(trajectory)
+
+
+@pytest.mark.parametrize("cluster_count", [2, 9])
+@pytest.mark.parametrize("fuzzifier", [1.5, 2.0, 3.0])
+def test_run_fcm_matches_per_step_loop_bitwise(cluster_count, fuzzifier):
+    rng = np.random.default_rng(cluster_count)
+    n = PIXEL_BLOCK + 301
+    px = np.round(rng.uniform(0, 255, (n, 3)))
+    ds = PixelDataset(pixels=px, width=n, height=1)
+    init = px[rng.choice(n, cluster_count, replace=False)]
+    config = ClusterConfig(
+        cluster_count=cluster_count, fuzzifier=fuzzifier,
+        fcm_max_iters=25, fcm_rel_tol=1e-15,
+    )
+    result = run_fcm(ds, init, config)
+    centers, memberships, trajectory = fcm_loop(ds, init, config)
+    assert np.array_equal(result.jm_trajectory, trajectory)
+    assert np.array_equal(result.centers, centers)
+    assert np.array_equal(result.memberships, memberships)

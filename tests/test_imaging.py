@@ -140,6 +140,35 @@ def test_to_dataset_partial_edge_blocks():
     assert ds.pixels.tolist() == [[5.0, 5.0, 5.0], [99.0, 99.0, 99.0]]
 
 
+def box_average_loop(image, k):
+    """Reference downscale: the mean of each k x k block, one block at a time."""
+    arr = np.frombuffer(image.rgb8, dtype=np.uint8).reshape(
+        image.height, image.width, 3
+    ).astype(np.float64)
+    out_h, out_w = -(-image.height // k), -(-image.width // k)
+    blocks = np.empty((out_h, out_w, 3))
+    for i in range(out_h):
+        for j in range(out_w):
+            blocks[i, j] = arr[i * k : (i + 1) * k, j * k : (j + 1) * k].mean(axis=(0, 1))
+    return blocks.reshape(-1, 3)
+
+
+@pytest.mark.parametrize(
+    "width, height, max_side, k",
+    [(2000, 1500, 256, 8), (1000, 701, 256, 4), (37, 5, 8, 5), (5, 37, 8, 5)],
+)
+def test_to_dataset_matches_block_loop_bitwise(width, height, max_side, k):
+    rng = np.random.default_rng(width + height)
+    img = RawImage(
+        width=width,
+        height=height,
+        rgb8=rng.integers(0, 256, width * height * 3, dtype=np.uint8).tobytes(),
+    )
+    ds = to_dataset(img, max_side=max_side)
+    assert (ds.width, ds.height) == (-(-width // k), -(-height // k))
+    assert np.array_equal(ds.pixels, box_average_loop(img, k))
+
+
 def test_to_dataset_no_resize_when_under_cap():
     img = RawImage(width=3, height=2, rgb8=bytes(18))
     ds = to_dataset(img, max_side=16)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from swarmseg.core import ClusterConfig, PixelDataset, sample_distinct_pixels
+from swarmseg.core import (
+    PIXEL_BLOCK,
+    ClusterConfig,
+    PixelDataset,
+    sample_distinct_pixels,
+)
 from swarmseg.swarm import (
     Particle,
     SwarmConfig,
@@ -12,6 +17,7 @@ from swarmseg.swarm import (
     particle_fitness,
     run_swarm,
     step_particle,
+    swarm_fitness,
     swarm_stats,
 )
 
@@ -70,6 +76,23 @@ def test_fitness_brute_force():
             )
         got = particle_fitness(ds, centers.ravel())
         assert abs(got - want) <= 1e-9 * max(want, 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_swarm_fitness_matches_particle_fitness_bitwise(d):
+    # N spans two full pixel blocks and a remainder; P is odd, so the last
+    # sweep scores one particle alone.
+    rng = np.random.default_rng(d)
+    n = 2 * PIXEL_BLOCK + 37
+    px = rng.uniform(0, 255, (n, d))
+    px[::3] = np.round(px[::3])
+    ds = PixelDataset(pixels=px, width=n, height=1)
+    for c in range(1, 10):
+        position = rng.uniform(0, 255, (5, c * d))
+        position[1] = np.round(position[1])
+        want = np.array([particle_fitness(ds, row) for row in position])
+        assert np.array_equal(swarm_fitness(ds, position), want)
+        assert np.array_equal(swarm_fitness(ds, position[:1]), want[:1])
 
 
 def test_swarm_stats_oracle():
