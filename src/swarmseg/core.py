@@ -98,10 +98,6 @@ class PixelDataset:
     def n_channels(self) -> int:
         return self.pixels.shape[1]
 
-    def distinct_values(self) -> np.ndarray:
-        """Unique color values present, as a (K, d) array."""
-        return np.unique(self.pixels, axis=0)
-
     @cached_property
     def channel_views(self) -> np.ndarray:
         """Read-only channel-major copy of ``pixels``, shape (d, N).
@@ -180,6 +176,16 @@ def _count_distinct(pixels: np.ndarray, limit: int) -> int:
     return count
 
 
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """Uninitialised float64 kernel scratch starting on a 64-byte boundary.
+
+    ``np.empty`` gives 16; the kernel runs ~25% slower on blocks not 32-byte aligned.
+    """
+    raw = np.empty(math.prod(shape) + 7)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + math.prod(shape)].reshape(shape)
+
+
 def _block_squared_distances(
     cols: np.ndarray, centers: np.ndarray, out: np.ndarray, tmp: np.ndarray
 ) -> np.ndarray:
@@ -215,9 +221,9 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     c = centers.shape[0]
     d2 = np.empty((n, c), dtype=np.float64)
     width = min(n, PIXEL_BLOCK)
-    cols = np.empty((d, width))
-    out = np.empty((c, width))
-    tmp = np.empty((c, width))
+    cols = _aligned_empty((d, width))
+    out = _aligned_empty((c, width))
+    tmp = _aligned_empty((c, width))
     for start in range(0, n, PIXEL_BLOCK):
         b = min(n - start, PIXEL_BLOCK)
         np.copyto(cols[:, :b], points[start : start + b].T)
@@ -267,7 +273,7 @@ def min_squared_distances(dataset: PixelDataset, centers: np.ndarray) -> np.ndar
         raise ValueError("centers must be a non-empty (C, d) array")
     n = dataset.n_pixels
     mins = np.empty((1, n))
-    work = np.empty((2, centers.shape[0], min(n, PIXEL_BLOCK)))
+    work = _aligned_empty((2, centers.shape[0], min(n, PIXEL_BLOCK)))
     _nearest_squared_distances(dataset.channel_views, centers, 1, mins, work)
     return mins[0]
 
@@ -289,7 +295,7 @@ def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.nd
     per_sweep = min(p, CENTER_SETS_PER_SWEEP)
     errors = np.empty(p)
     mins = np.empty((per_sweep, n))
-    work = np.empty((2, per_sweep * c, min(n, PIXEL_BLOCK)))
+    work = _aligned_empty((2, per_sweep * c, min(n, PIXEL_BLOCK)))
     for first in range(0, p, CENTER_SETS_PER_SWEEP):
         group = sets[first : first + CENTER_SETS_PER_SWEEP]
         _nearest_squared_distances(cols, group.reshape(-1, d), len(group), mins, work)

@@ -30,11 +30,11 @@ class FcmResult:
 
     ``labels`` is the argmax of each membership row (lowest index on ties);
     ``jm_trajectory`` holds the objective value after every alternation,
-    starting with the value at the initial centers.
+    starting with the value at the initial centers. The (N, C) memberships
+    are not kept: ``compute_memberships(dataset, centers, m)`` recomputes them.
     """
 
     centers: np.ndarray
-    memberships: np.ndarray
     labels: np.ndarray
     jm_trajectory: np.ndarray
     iterations: int
@@ -54,7 +54,6 @@ def compute_memberships(
     """
     if not fuzzifier > 1.0:
         raise ValueError("fuzzifier must be > 1")
-    centers = np.asarray(centers, dtype=np.float64)
     return _memberships(squared_distances(dataset.pixels, centers), fuzzifier)
 
 
@@ -91,31 +90,30 @@ def update_centers(
     when some column's total weight underflows to zero; the iterative loop
     recovers from that, a direct caller cannot.
     """
-    centers, dead = _update_centers_partial(dataset, memberships, fuzzifier)
+    u = np.asarray(memberships, dtype=np.float64)
+    if not fuzzifier > 1.0:
+        raise ValueError("fuzzifier must be > 1")
+    if u.shape[0] != dataset.n_pixels:
+        raise ValueError("membership rows must match the pixel count")
+    centers, dead = _update_centers_partial(dataset, u**fuzzifier)
     if dead:
         raise DeadClusterError(dead)
     return centers
 
 
 def _update_centers_partial(
-    dataset: PixelDataset, memberships: np.ndarray, fuzzifier: float
+    dataset: PixelDataset, weights: np.ndarray
 ) -> tuple[np.ndarray, list[int]]:
-    """Center update that reports dead clusters instead of raising.
+    """Center update from the (N, C) weights u**m; reports dead clusters.
 
     Dead centers are returned as zero rows; callers must overwrite them.
     """
-    u = np.asarray(memberships, dtype=np.float64)
-    if not fuzzifier > 1.0:
-        raise ValueError("fuzzifier must be > 1")
-    if u.shape[0] != dataset.n_pixels:
-        raise ValueError("membership rows must match the pixel count")
-    um = u**fuzzifier
-    c = u.shape[1]
+    c = weights.shape[1]
     d = dataset.n_channels
     centers = np.zeros((c, d), dtype=np.float64)
     dead: list[int] = []
     for j in range(c):
-        w = um[:, j]
+        w = weights[:, j]
         total = np.sum(w)
         if total <= 0.0:
             dead.append(j)
@@ -132,14 +130,19 @@ def fcm_objective(
 ) -> float:
     """Membership-weighted sum of squared pixel-to-center distances."""
     d2 = squared_distances(dataset.pixels, np.asarray(centers, dtype=np.float64))
-    return _objective(d2, np.asarray(memberships, dtype=np.float64), fuzzifier)
+    d2 *= np.asarray(memberships, dtype=np.float64) ** fuzzifier
+    return float(np.sum(d2))
 
 
-def _objective(d2: np.ndarray, u: np.ndarray, fuzzifier: float) -> float:
-    """``fcm_objective`` from the (N, C) squared distances of its centers."""
-    weighted = u**fuzzifier
-    weighted *= d2
-    return float(np.sum(weighted))
+def _membership_step(
+    dataset: PixelDataset, centers: np.ndarray, fuzzifier: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(J_m, u, u**m)`` at ``centers``, all three from one ``d2``."""
+    d2 = squared_distances(dataset.pixels, centers)
+    u = _memberships(d2, fuzzifier)
+    weights = u**fuzzifier
+    d2 *= weights  # the same product and sum as fcm_objective, bit for bit
+    return float(np.sum(d2)), u, weights
 
 
 def _reseed_dead(
@@ -173,43 +176,35 @@ def run_fcm(
         raise ValueError(
             f"initial_centers must have shape ({config.cluster_count}, d)"
         )
-    m = config.fuzzifier
-
-    # One d2 per alternation feeds both the memberships and the objective.
-    d2 = squared_distances(dataset.pixels, centers)
-    u = _memberships(d2, m)
-    jm = _objective(d2, u, m)
-    trajectory = [jm]
+    trajectory: list[float] = []
     converged = False
     consecutive_dead = 0
 
-    for _ in range(config.fcm_max_iters):
-        new_centers, dead = _update_centers_partial(dataset, u, m)
+    for iteration in range(config.fcm_max_iters + 1):
+        jm, u, weights = _membership_step(dataset, centers, config.fuzzifier)
+        if trajectory:
+            prev = trajectory[-1]
+            converged = abs(prev - jm) <= config.fcm_rel_tol * max(prev, EPS_ZERO)
+        trajectory.append(jm)
+        if converged or iteration == config.fcm_max_iters:
+            break
+        centers, dead = _update_centers_partial(dataset, weights)
+        # drop both (N, C) arrays before the next alternation allocates its d2
+        del u, weights
         if dead:
             consecutive_dead += 1
             if consecutive_dead > config.cluster_count:
                 raise DegenerateClusteringError(
                     f"dead clusters recurred {consecutive_dead} times in a row"
                 )
-            new_centers = _reseed_dead(dataset, new_centers, dead)
+            centers = _reseed_dead(dataset, centers, dead)
         else:
             consecutive_dead = 0
-        centers = new_centers
-        d2 = squared_distances(dataset.pixels, centers)
-        u = _memberships(d2, m)
-        jm_new = _objective(d2, u, m)
-        trajectory.append(jm_new)
-        if abs(jm - jm_new) <= config.fcm_rel_tol * max(jm, EPS_ZERO):
-            converged = True
-            break
-        jm = jm_new
 
     centers = np.clip(centers, 0.0, 255.0)
-    labels = np.argmax(u, axis=1)
     return FcmResult(
         centers=centers,
-        memberships=u,
-        labels=labels,
+        labels=np.argmax(u, axis=1),
         jm_trajectory=np.array(trajectory),
         iterations=len(trajectory) - 1,
         converged=converged,

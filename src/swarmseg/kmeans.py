@@ -53,13 +53,15 @@ def run_kmeans(dataset: PixelDataset, config: ClusterConfig) -> KmeansResult:
     trajectory: list[float] = []
     converged = False
     consecutive_empty = 0
-    labels = np.zeros(dataset.n_pixels, dtype=np.intp)
 
-    for _ in range(_MAX_ITERS):
+    for iteration in range(_MAX_ITERS + 1):
         d2 = squared_distances(dataset.pixels, centers)
         labels = np.argmin(d2, axis=1)
         dist_to_assigned = d2[np.arange(dataset.n_pixels), labels]
         trajectory.append(float(np.sum(dist_to_assigned)))
+        # at the cap the labels are already aligned with the returned centers
+        if iteration == _MAX_ITERS:
+            break
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             converged = True
             break
@@ -83,13 +85,6 @@ def run_kmeans(dataset: PixelDataset, config: ClusterConfig) -> KmeansResult:
         else:
             consecutive_empty = 0
         centers = new_centers
-
-    if not converged:
-        # iteration cap hit after a center update; realign labels with the
-        # centers actually returned
-        d2 = squared_distances(dataset.pixels, centers)
-        labels = np.argmin(d2, axis=1)
-        trajectory.append(float(np.sum(d2[np.arange(dataset.n_pixels), labels])))
 
     centers = np.clip(centers, 0.0, 255.0)
     return KmeansResult(

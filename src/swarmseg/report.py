@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import PixelDataset
-from .fcm import compute_memberships, fcm_objective
+from .fcm import _membership_step
 from .pipeline import SegmentationResult
 
 
@@ -80,9 +80,10 @@ def evaluate_jm(
     This is the single metric used to compare algorithms, including ones
     (like k-means) that never computed memberships themselves.
     """
-    centers = np.asarray(centers, dtype=np.float64)
-    u = compute_memberships(dataset, centers, fuzzifier)
-    return fcm_objective(dataset, centers, u, fuzzifier)
+    if not fuzzifier > 1.0:
+        raise ValueError("fuzzifier must be > 1")
+    jm, _, _ = _membership_step(dataset, centers, fuzzifier)
+    return jm
 
 
 def build_report(

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import swarmseg
 from swarmseg.core import ClusterConfig, PixelDataset
 from swarmseg.fcm import run_fcm
 from swarmseg.imaging import (
@@ -355,9 +356,14 @@ def test_criterion_7_determinism(capsys, tmp_path):
         )
         src.write_bytes(write_ppm(image))
 
+        # the CLI subprocesses import the same package these tests import
+        src_dir = os.path.dirname(os.path.dirname(swarmseg.__file__))
         outputs = []
         for threads in ("1", "4"):
             env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src_dir, env.get("PYTHONPATH")])
+            )
             for var in (
                 "OMP_NUM_THREADS",
                 "OPENBLAS_NUM_THREADS",

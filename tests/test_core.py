@@ -43,15 +43,6 @@ def test_dataset_pixels_are_read_only():
         ds.pixels[0, 0] = 5.0
 
 
-def test_dataset_distinct_values():
-    ds = PixelDataset(
-        pixels=np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]),
-        width=3,
-        height=1,
-    )
-    assert ds.distinct_values().shape == (2, 2)
-
-
 def test_channel_views_match_columns():
     rng = np.random.default_rng(5)
     px = rng.uniform(0, 255, (30, 3))

@@ -87,7 +87,7 @@ def test_sse_trajectory_never_increases():
         d = int(rng.integers(1, 4))
         px = np.round(rng.uniform(0, 255, (n, d)))
         ds = PixelDataset(pixels=px, width=n, height=1)
-        c = min(3, len(ds.distinct_values()))
+        c = min(3, len(np.unique(ds.pixels, axis=0)))
         result = run_kmeans(ds, ClusterConfig(cluster_count=c, seed=int(rng.integers(1000))))
         traj = result.sse_trajectory
         for a, b in zip(traj, traj[1:]):
@@ -138,3 +138,22 @@ def test_empty_cluster_is_reseeded_on_farthest_pixel():
     assert result.centers[:, 0].tolist() == [101.5, 262.0 / 5, 4.0, 201.75]
     assert result.labels.tolist() == [2, 1, 0, 1, 1, 3, 3, 3, 1, 0, 3, 1]
     assert result.converged
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_iteration_cap_returns_labels_of_returned_centers(monkeypatch, cap):
+    rng = np.random.default_rng(21)
+    px = np.round(rng.uniform(0, 255, (300, 3)))
+    ds = PixelDataset(pixels=px, width=300, height=1)
+    config = ClusterConfig(cluster_count=5, seed=3)
+    # uncapped, this run needs more assignments than either cap allows
+    assert run_kmeans(ds, config).iterations > cap + 1
+
+    monkeypatch.setattr("swarmseg.kmeans._MAX_ITERS", cap)
+    result = run_kmeans(ds, config)
+    assert not result.converged
+    assert result.iterations == cap + 1
+    assert len(result.sse_trajectory) == cap + 1
+    d2 = squared_distances(ds.pixels, result.centers)
+    assert np.array_equal(result.labels, np.argmin(d2, axis=1))
+    assert result.sse_trajectory[-1] == float(np.sum(d2.min(axis=1)))

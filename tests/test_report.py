@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from swarmseg.core import ClusterConfig, PixelDataset
+from swarmseg.core import PIXEL_BLOCK, ClusterConfig, PixelDataset
+from swarmseg.fcm import compute_memberships, fcm_objective
 from swarmseg.pipeline import SegmentationResult, run_algorithm
 from swarmseg.report import (
     AlgorithmEntry,
@@ -93,6 +94,26 @@ def test_evaluate_jm_center_order_does_not_matter():
         perm = rng.permutation(4)
         shuffled = evaluate_jm(ds, centers[perm])
         assert abs(shuffled - base) <= 1e-9 * max(base, 1.0)
+
+
+@pytest.mark.parametrize("n", [PIXEL_BLOCK - 1, PIXEL_BLOCK + 1, 2 * PIXEL_BLOCK + 37])
+@pytest.mark.parametrize("fuzzifier", [1.5, 2.0, 3.0])
+def test_evaluate_jm_matches_objective_at_memberships_bitwise(n, fuzzifier):
+    rng = np.random.default_rng(n)
+    px = np.round(rng.uniform(0, 255, (n, 3)))
+    ds = PixelDataset(pixels=px, width=n, height=1)
+    for c in range(1, 10):
+        centers = rng.uniform(0, 255, (c, 3))
+        # a center on a pixel makes that pixel's membership row crisp
+        centers[-1] = px[int(rng.integers(n))]
+        want = fcm_objective(ds, centers, compute_memberships(ds, centers, fuzzifier), fuzzifier)
+        assert evaluate_jm(ds, centers, fuzzifier) == want
+
+
+@pytest.mark.parametrize("fuzzifier", [1.0, 0.5])
+def test_evaluate_jm_rejects_fuzzifier_at_most_one(fuzzifier):
+    with pytest.raises(ValueError):
+        evaluate_jm(scalar_dataset([0.0, 1.0]), np.array([[0.0]]), fuzzifier)
 
 
 def fake_result(name, centers, seed=0):
