@@ -4,10 +4,15 @@ Both swarms minimize the quantization error of a candidate center set on a
 four-blob image, from identical seeds. The adaptive variant re-weights each
 particle's inertia by its fitness rank every iteration and slides the
 learning factors from self-reliance toward consensus; the classic variant
-uses fixed constants. The printed gbest trace shows how each one settles.
+is the same swarm on a flat schedule (``CLASSIC_SCHEDULE``), which fixes
+every coefficient at a constant. The printed gbest trace shows how each
+one settles.
 """
 
+from dataclasses import replace
+
 from swarmseg import (
+    CLASSIC_SCHEDULE,
     ClusterConfig,
     SwarmConfig,
     gaussian_blob_image,
@@ -38,8 +43,8 @@ def main():
     dataset = to_dataset(image)
     config = ClusterConfig(cluster_count=4, seed=0)
 
-    adaptive = SwarmConfig(swarm_size=20, n_max=100, mode="adaptive")
-    classic = SwarmConfig(swarm_size=20, n_max=100, mode="classic")
+    adaptive = SwarmConfig(swarm_size=20, n_max=100)
+    classic = replace(adaptive, **CLASSIC_SCHEDULE)
 
     centers_a, hist_a = run_swarm(dataset, config, adaptive)
     centers_c, hist_c = run_swarm(dataset, config, classic)

@@ -54,6 +54,7 @@ from .report import (
     report_to_json,
 )
 from .swarm import (
+    CLASSIC_SCHEDULE,
     Particle,
     SwarmConfig,
     SwarmHistory,
@@ -72,6 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "AlgorithmEntry",
+    "CLASSIC_SCHEDULE",
     "ClusterConfig",
     "ComparisonReport",
     "DeadClusterError",

@@ -16,6 +16,7 @@ Center sets, membership matrices and labelings are deliberately bare
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,6 +58,14 @@ class DeadClusterError(RuntimeError):
 
 class DegenerateClusteringError(RuntimeError):
     """Dead-cluster recovery kept failing; the instance cannot support C clusters."""
+
+
+def require_integer(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an integer; floats such as 2.0 are not."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -124,6 +133,9 @@ class ClusterConfig:
     seed: int = 42
 
     def __post_init__(self):
+        require_integer("cluster_count", self.cluster_count, InvalidClusterCountError)
+        require_integer("fcm_max_iters", self.fcm_max_iters)
+        require_integer("seed", self.seed)
         if self.cluster_count < 1:
             raise InvalidClusterCountError(
                 f"cluster_count must be >= 1, got {self.cluster_count}"
@@ -232,59 +244,30 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _nearest_squared_distances(
-    cols: np.ndarray,
-    centers: np.ndarray,
-    sets: int,
-    mins: np.ndarray,
-    work: np.ndarray,
-) -> None:
-    """Fill ``mins[s]`` with each pixel's squared distance to set s's nearest center.
-
-    ``cols`` is the (d, N) channel-major dataset, ``centers`` stacks
-    ``sets`` center sets of equal size as (sets * C, d) rows, ``mins`` is
-    at least (sets, N) and ``work`` is scratch of at least (2, sets * C,
-    min(N, PIXEL_BLOCK)); callers allocate it once for many calls, since
-    fresh blocks of that size cost a page fault per page. The minimum is
-    exact, so the result depends neither on the blocking nor on how the
-    sets are grouped.
-    """
-    n = cols.shape[1]
-    rows = centers.shape[0]
-    for start in range(0, n, PIXEL_BLOCK):
-        b = min(n - start, PIXEL_BLOCK)
-        block = _block_squared_distances(
-            cols[:, start : start + b], centers, work[0, :rows, :b], work[1, :rows, :b]
-        )
-        per_set = block.reshape(sets, rows // sets, b)
-        np.min(per_set, axis=1, out=mins[:sets, start : start + b])
-
-
 def min_squared_distances(dataset: PixelDataset, centers: np.ndarray) -> np.ndarray:
     """Squared distance from each pixel to its nearest center, shape (N,).
 
-    Numerically identical to ``squared_distances(...).min(axis=1)`` (the
-    same kernel, and the minimum is exact), but read from the cached
-    channel-major ``channel_views``. The one-set reference for
+    The row minima of ``squared_distances``; the one-set reference for
+    :func:`quantization_errors`. It builds the whole (N, C) distance matrix
+    first, so its peak memory is O(N * C), not the O(N) of
     :func:`quantization_errors`.
     """
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] < 1:
         raise ValueError("centers must be a non-empty (C, d) array")
-    n = dataset.n_pixels
-    mins = np.empty((1, n))
-    work = _aligned_empty((2, centers.shape[0], min(n, PIXEL_BLOCK)))
-    _nearest_squared_distances(dataset.channel_views, centers, 1, mins, work)
-    return mins[0]
+    return squared_distances(dataset.pixels, centers).min(axis=1)
 
 
 def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.ndarray:
     """Quantization error of each of P center sets given as (P, C, d), shape (P,).
 
     Entry p equals ``np.sum(min_squared_distances(dataset, center_sets[p]))``
-    bit for bit: the nearest-center distances are the same, and each set's
-    error is one sum over its whole (N,) row of them. The sets are scored
-    ``CENTER_SETS_PER_SWEEP`` at a time per sweep over the pixel blocks.
+    bit for bit: the distances come from the same kernel, the minimum is
+    exact, and each set's error is one sum over its whole (N,) row of
+    nearest-center distances. The sets are scored ``CENTER_SETS_PER_SWEEP``
+    at a time per sweep over blocks of the cached channel-major
+    ``channel_views``. The kernel's scratch is allocated once per call, since
+    fresh blocks of that size cost a page fault per page.
     """
     sets = np.asarray(center_sets, dtype=np.float64)
     if sets.ndim != 3 or sets.shape[1] < 1:
@@ -298,8 +281,15 @@ def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.nd
     work = _aligned_empty((2, per_sweep * c, min(n, PIXEL_BLOCK)))
     for first in range(0, p, CENTER_SETS_PER_SWEEP):
         group = sets[first : first + CENTER_SETS_PER_SWEEP]
-        _nearest_squared_distances(cols, group.reshape(-1, d), len(group), mins, work)
-        for s in range(len(group)):
+        k, rows = len(group), len(group) * c
+        centers = group.reshape(rows, d)
+        for start in range(0, n, PIXEL_BLOCK):
+            b = min(n - start, PIXEL_BLOCK)
+            block = _block_squared_distances(
+                cols[:, start : start + b], centers, work[0, :rows, :b], work[1, :rows, :b]
+            )
+            np.min(block.reshape(k, c, b), axis=1, out=mins[:k, start : start + b])
+        for s in range(k):
             errors[first + s] = np.sum(mins[s])
     return errors
 

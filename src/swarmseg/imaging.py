@@ -54,6 +54,7 @@ class RawImage:
 
 _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 _HASH = ord("#")
+_MAX_HEADER_DIGITS = 10  # wider numbers describe no image that fits in memory
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -89,12 +90,14 @@ def load_ppm(data: bytes) -> RawImage:
         token, pos = _next_token(data, pos)
         if not token:
             raise PpmBadDimensionsError(f"missing {name} in header")
-        try:
-            fields.append(int(token))
-        except ValueError:
+        # ASCII decimal digits only, as Netpbm allows; bounding the length
+        # keeps the parse linear and independent of int()'s digit limit
+        if not token.isdigit() or len(token) > _MAX_HEADER_DIGITS:
             raise PpmBadDimensionsError(
-                f"non-numeric {name} token {token!r}"
-            ) from None
+                f"{name} token {token[:32]!r} is not a decimal number"
+                f" of at most {_MAX_HEADER_DIGITS} digits"
+            )
+        fields.append(int(token))
     width, height, maxval = fields
 
     if width < 1 or height < 1:

@@ -4,8 +4,8 @@ Four algorithms, one entry point:
 
 * ``kmeans`` — Lloyd's algorithm on the pixel cloud,
 * ``fcm`` — fuzzy c-means from randomly sampled distinct pixels,
-* ``psofcm`` — constant-coefficient particle swarm, best centers handed
-  to fuzzy c-means,
+* ``psofcm`` — classic constant-coefficient particle swarm (the swarm on
+  ``CLASSIC_SCHEDULE``), best centers handed to fuzzy c-means,
 * ``apsof`` — adaptive particle swarm (fitness-driven inertia, scheduled
   learning factors), best centers handed to fuzzy c-means.
 
@@ -24,7 +24,7 @@ import numpy as np
 from .core import ClusterConfig, PixelDataset, sample_distinct_pixels
 from .fcm import FcmResult, run_fcm
 from .kmeans import run_kmeans
-from .swarm import SwarmConfig, SwarmHistory, run_swarm
+from .swarm import CLASSIC_SCHEDULE, SwarmConfig, SwarmHistory, run_swarm
 
 ALGORITHMS = ("kmeans", "fcm", "psofcm", "apsof")
 
@@ -73,8 +73,8 @@ def run_algorithm(
 ) -> SegmentationResult:
     """Run one named algorithm; all share the same seed semantics.
 
-    The swarm pipelines force ``sconfig``'s mode: ``classic`` for psofcm,
-    ``adaptive`` for apsof.
+    apsof runs the swarm on ``sconfig`` as given; psofcm replaces its
+    inertia and learning-factor schedules with ``CLASSIC_SCHEDULE``.
     """
     if name not in ALGORITHMS:
         raise ValueError(
@@ -92,8 +92,9 @@ def run_algorithm(
             rng = np.random.default_rng(config.seed)
             initial = sample_distinct_pixels(dataset, config.cluster_count, rng)
         else:
-            mode = "classic" if name == "psofcm" else "adaptive"
-            initial, history = run_swarm(dataset, config, replace(sconfig, mode=mode))
+            if name == "psofcm":
+                sconfig = replace(sconfig, **CLASSIC_SCHEDULE)
+            initial, history = run_swarm(dataset, config, sconfig)
         result = fcm_result = run_fcm(dataset, initial, config)
         final_jm, iterations = result.jm_trajectory[-1], result.iterations
         if history is not None:

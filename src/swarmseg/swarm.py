@@ -1,11 +1,10 @@
 """Particle swarm search over candidate center sets.
 
-Two modes share one loop:
-
-* ``classic`` — constant inertia and equal constant learning factors,
-* ``adaptive`` — per-particle inertia driven by each particle's fitness
-  relative to the swarm statistics, plus learning factors that slide
-  linearly from self-weighted to socially-weighted over the run.
+Every swarm is the adaptive one: per-particle inertia driven by each
+particle's fitness relative to the swarm statistics, plus learning factors
+that slide linearly from self-weighted to socially-weighted over the run.
+Classic constant-coefficient PSO is the same loop on a flat schedule,
+``CLASSIC_SCHEDULE``, where both computations return the constants exactly.
 
 A particle's position is a flattened (C*d,) array of center coordinates;
 its fitness is the total squared distance from every pixel to its nearest
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,12 +37,20 @@ from .core import (
     PixelDataset,
     min_squared_distances,
     quantization_errors,
+    require_integer,
     sample_distinct_pixels,
     validate_config,
 )
 
 POSITION_LO = 0.0
 POSITION_HI = 255.0
+
+# Classic PSO as a SwarmConfig schedule: inertia 0.7 and both learning
+# factors 2.0 at every step, for ``replace(sconfig, **CLASSIC_SCHEDULE)``.
+CLASSIC_SCHEDULE = MappingProxyType(dict(
+    w_max=0.7, w_min=0.7,
+    c1_init=2.0, c1_final=2.0, c2_init=2.0, c2_final=2.0,
+))
 
 
 @dataclass
@@ -69,10 +77,10 @@ class SwarmStats:
 class SwarmConfig:
     """Swarm hyperparameters; the defaults are sized for 64x64 color images.
 
-    ``mode`` selects between ``classic`` (constant_w, constant_c) and
-    ``adaptive`` (w from fitness statistics, c1/c2 on linear schedules).
-    Schedule endpoints may be equal, which makes the adaptive mode behave
-    exactly like the classic one; reversed orderings are rejected.
+    Each particle's inertia comes from fitness statistics within
+    [w_min, w_max], and c1/c2 follow linear schedules. Schedule endpoints
+    may be equal, which gives constant coefficients (``CLASSIC_SCHEDULE``);
+    reversed orderings are rejected.
     """
 
     swarm_size: int = 20
@@ -83,16 +91,15 @@ class SwarmConfig:
     c1_final: float = 0.5
     c2_init: float = 0.5
     c2_final: float = 2.5
-    constant_w: float = 0.7
-    constant_c: float = 2.0
     variance_tol: float = 1e-3
     v_max_fraction: float = 0.2
-    mode: str = "adaptive"
 
     def __post_init__(self):
+        require_integer("swarm_size", self.swarm_size)
+        require_integer("n_max", self.n_max)
         for name in (
             "w_max", "w_min", "c1_init", "c1_final", "c2_init", "c2_final",
-            "constant_w", "constant_c", "variance_tol",
+            "variance_tol",
         ):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -102,14 +109,10 @@ class SwarmConfig:
             raise ValueError("n_max must be positive")
         if self.w_max < self.w_min:
             raise ValueError("w_max must not be below w_min")
-        if self.mode not in ("classic", "adaptive"):
-            raise ValueError(f"mode must be 'classic' or 'adaptive', got {self.mode!r}")
-        if self.mode == "adaptive":
-            if self.c1_init < self.c2_init or self.c1_final > self.c2_final:
-                raise ValueError(
-                    "adaptive schedules need c1_init >= c2_init and "
-                    "c1_final <= c2_final"
-                )
+        if self.c1_init < self.c2_init or self.c1_final > self.c2_final:
+            raise ValueError(
+                "schedules need c1_init >= c2_init and c1_final <= c2_final"
+            )
         if self.variance_tol < 0.0:
             raise ValueError("variance_tol must be non-negative")
         if not 0.0 < self.v_max_fraction <= 1.0:
@@ -262,9 +265,9 @@ def run_swarm(
     Every particle starts on C pixels with distinct values (zero velocity).
     Each iteration records the swarm statistics, stops if the relative
     fitness variance has collapsed below ``variance_tol``, and otherwise
-    steps all particles with mode-appropriate coefficients. Returns the
-    best position found, decoded to a (C, d) center array, plus the
-    per-iteration history.
+    steps all particles with the scheduled c1, c2 and each particle's
+    adaptive inertia. Returns the best position found, decoded to a (C, d)
+    center array, plus the per-iteration history.
     """
     validate_config(config, dataset)
     rng = np.random.default_rng(config.seed)
@@ -295,12 +298,8 @@ def run_swarm(
         if n == sconfig.n_max:
             break
 
-        if sconfig.mode == "adaptive":
-            c1, c2 = adaptive_learning_factors(n, sconfig)
-            w = np.array([adaptive_inertia(f, stats, sconfig) for f in fitness])
-        else:
-            c1, c2 = sconfig.constant_c, sconfig.constant_c
-            w = np.full(size, sconfig.constant_w)
+        c1, c2 = adaptive_learning_factors(n, sconfig)
+        w = np.array([adaptive_inertia(f, stats, sconfig) for f in fitness])
         position, velocity, fitness, pbest, pbest_fitness = _step(
             dataset, position, velocity, pbest, pbest_fitness, gbest,
             w, c1, c2, rng.random((size, 2)), sconfig,

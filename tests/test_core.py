@@ -82,6 +82,17 @@ def test_cluster_config_validation():
         ClusterConfig(seed=-1)
     with pytest.raises(ValueError):
         ClusterConfig(seed=2**64)
+    # non-integral values are rejected at construction, numpy integers pass
+    for bad in (2.5, 1.5, 2.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidClusterCountError):
+            ClusterConfig(cluster_count=bad)
+        for name in ("fcm_max_iters", "seed"):
+            with pytest.raises(ValueError):
+                ClusterConfig(**{name: bad})
+    cfg = ClusterConfig(
+        cluster_count=np.int64(3), fcm_max_iters=np.int32(7), seed=np.uint64(9)
+    )
+    assert (cfg.cluster_count, cfg.fcm_max_iters, cfg.seed) == (3, 7, 9)
 
 
 def test_validate_config_against_dataset():

@@ -75,6 +75,16 @@ def test_bad_dimensions_rejected():
         load_ppm(b"P6\nw h\n255\n")
     with pytest.raises(PpmBadDimensionsError):
         load_ppm(b"P6\n2 2\n")  # header stops before the maxval token
+    # only ASCII decimal digits, at most ten of them: no underscores, signs,
+    # or tokens whose rejection would hinge on int()'s digit limit
+    for width, maxval in (
+        (b"1_0", b"2_55"), (b"+1", b"+255"), (b"0" * 10 + b"1",) * 2, (b"9" * 5000,) * 2
+    ):
+        with pytest.raises(PpmBadDimensionsError):
+            load_ppm(b"P6 " + width + b" 1 255 " + b"x" * 30)
+        with pytest.raises(PpmBadDimensionsError):
+            load_ppm(b"P6 1 1 " + maxval + b" xxx")
+    assert load_ppm(b"P6 0000000001 1 0000000255 xxx").width == 1
 
 
 def test_error_hierarchy():

@@ -1,13 +1,15 @@
 """Shared run interface wiring the swarm, c-means, and k-means engines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from swarmseg.core import ClusterConfig
 from swarmseg.imaging import to_dataset
 from swarmseg.pipeline import ALGORITHMS, run_algorithm, run_apsof
-from swarmseg.swarm import SwarmConfig, run_swarm
-from swarmseg.synthetic import solid_block_image
+from swarmseg.swarm import CLASSIC_SCHEDULE, SwarmConfig, run_swarm
+from swarmseg.synthetic import random_image, solid_block_image
 
 SMALL_SWARM = SwarmConfig(swarm_size=8, n_max=20)
 
@@ -80,38 +82,55 @@ def test_seeded_pipelines_count_both_stages():
 
 
 def test_apsof_equals_classic_when_schedules_are_flat():
-    # freeze the adaptive knobs at the classic constants: same seed, same
-    # arithmetic, bitwise-equal outputs
-    ds, _ = block_dataset()
+    # freeze the adaptive knobs at the classic constants, written out here:
+    # same seed, same arithmetic, bitwise-equal outputs. psofcm's own
+    # schedule is never passed in, so a wrong constant in it shows up.
+    ds = to_dataset(random_image(8, 8, seed=6))
     config = ClusterConfig(cluster_count=3, seed=6)
-    flat = SwarmConfig(
-        swarm_size=8,
-        n_max=20,
-        w_max=0.7,
-        w_min=0.7,
-        c1_init=2.0,
-        c1_final=2.0,
-        c2_init=2.0,
-        c2_final=2.0,
-        constant_w=0.7,
-        constant_c=2.0,
-    )
-    a = run_algorithm("apsof", ds, config, flat)
-    b = run_algorithm("psofcm", ds, config, flat)
+
+    def flat(w):
+        return replace(
+            SMALL_SWARM, w_max=w, w_min=w,
+            c1_init=2.0, c1_final=2.0, c2_init=2.0, c2_final=2.0,
+        )
+
+    a = run_algorithm("apsof", ds, config, flat(0.7))
+    b = run_algorithm("psofcm", ds, config, SMALL_SWARM)
+    assert b.swarm_history.iterations > 0  # the swarm stepped
     assert np.array_equal(a.centers, b.centers)
     assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.swarm_history.gbest_fitness, b.swarm_history.gbest_fitness)
     assert a.final_jm == b.final_jm
+    # the comparison can fail: a nearby flat schedule gives another swarm
+    near = run_algorithm("apsof", ds, config, flat(0.71))
+    assert not np.array_equal(
+        near.swarm_history.gbest_fitness, b.swarm_history.gbest_fitness
+    )
 
 
-def test_apsof_forces_adaptive_mode():
-    ds, _ = block_dataset()
+def test_psofcm_ignores_the_callers_schedule():
+    # psofcm always runs the classic schedule: a caller's w/c schedule
+    # changes nothing, while apsof follows it
+    ds = to_dataset(random_image(8, 8, seed=3))
     config = ClusterConfig(cluster_count=3, seed=1)
-    classic = SwarmConfig(swarm_size=8, n_max=20, mode="classic")
-    result = run_apsof(ds, config, classic)
-    assert result.algorithm == "apsof"
+    custom = SwarmConfig(
+        swarm_size=8, n_max=20, w_max=0.95, w_min=0.2,
+        c1_init=3.0, c1_final=1.0, c2_init=1.0, c2_final=3.0,
+    )
+    result = run_algorithm("psofcm", ds, config, custom)
+    default = run_algorithm("psofcm", ds, config, SMALL_SWARM)
+    assert result.algorithm == "psofcm"
+    assert np.array_equal(result.centers, default.centers)
+    assert np.array_equal(
+        result.swarm_history.gbest_fitness, default.swarm_history.gbest_fitness
+    )
     # deterministic: rerunning with the same inputs reproduces the result
-    again = run_apsof(ds, config, classic)
+    again = run_algorithm("psofcm", ds, config, custom)
     assert np.array_equal(result.centers, again.centers)
+    apsof = run_apsof(ds, config, custom)
+    assert not np.array_equal(
+        apsof.swarm_history.gbest_fitness, result.swarm_history.gbest_fitness
+    )
 
 
 def test_fcm_baseline_matches_direct_composition():
@@ -132,12 +151,13 @@ def test_fcm_baseline_matches_direct_composition():
 
 def test_swarm_seed_feeds_the_refiner():
     # the c-means stage must start from the swarm's best centers
-    ds, _ = block_dataset()
+    ds = to_dataset(random_image(8, 8, seed=12))
     config = ClusterConfig(cluster_count=3, seed=12)
     result = run_algorithm("psofcm", ds, config, SMALL_SWARM)
     seed_centers, history = run_swarm(
-        ds, config, SwarmConfig(swarm_size=8, n_max=20, mode="classic")
+        ds, config, SwarmConfig(swarm_size=8, n_max=20, **CLASSIC_SCHEDULE)
     )
+    assert history.iterations > 0  # the swarm stepped
     assert np.array_equal(
         history.gbest_fitness, result.swarm_history.gbest_fitness
     )

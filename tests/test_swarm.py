@@ -10,6 +10,7 @@ from swarmseg.core import (
     sample_distinct_pixels,
 )
 from swarmseg.swarm import (
+    CLASSIC_SCHEDULE,
     Particle,
     SwarmConfig,
     adaptive_inertia,
@@ -321,12 +322,14 @@ def test_run_swarm_identical_for_equal_seeds():
     assert np.array_equal(h1.variance, h2.variance)
 
 
-def per_particle_swarm(dataset, config, sconfig):
+def per_particle_swarm(dataset, config, sconfig, classic):
     """The swarm loop written particle by particle from the public pieces.
 
     One generator drives it in the documented order: each particle's
     distinct-pixel start in turn, then per step one ``step_particle`` call
-    per particle in ascending index, and a strict-``<`` gbest scan.
+    per particle in ascending index, and a strict-``<`` gbest scan. With
+    ``classic`` set it is textbook PSO, w = 0.7 and c1 = c2 = 2.0 written
+    out here, and calls neither adaptive schedule.
     """
     rng = np.random.default_rng(config.seed)
     particles = []
@@ -350,35 +353,36 @@ def per_particle_swarm(dataset, config, sconfig):
             break
         if n == sconfig.n_max:
             break
-        if sconfig.mode == "adaptive":
-            c1, c2 = adaptive_learning_factors(n, sconfig)
+        if classic:
+            c1 = c2 = 2.0
         else:
-            c1 = c2 = sconfig.constant_c
+            c1, c2 = adaptive_learning_factors(n, sconfig)
         for i, p in enumerate(particles):
-            if sconfig.mode == "adaptive":
-                w = adaptive_inertia(p.fitness, stats, sconfig)
-            else:
-                w = sconfig.constant_w
+            w = 0.7 if classic else adaptive_inertia(p.fitness, stats, sconfig)
             particles[i] = step_particle(p, gbest, dataset, w, c1, c2, sconfig, rng)
     centers = np.clip(gbest.reshape(config.cluster_count, -1), 0.0, 255.0)
     return centers, gbest_hist, favg_hist, var_hist, n, converged
 
 
-@pytest.mark.parametrize("mode", ["adaptive", "classic"])
+@pytest.mark.parametrize("classic", [False, True], ids=["adaptive", "classic"])
 @pytest.mark.parametrize("cluster_count", [2, 8])
 @pytest.mark.parametrize("variance_tol", [1e-3, 0.0])
-def test_run_swarm_matches_per_particle_loop(mode, cluster_count, variance_tol):
+def test_run_swarm_matches_per_particle_loop(classic, cluster_count, variance_tol):
     rng = np.random.default_rng(cluster_count)
     px = rng.integers(0, 256, size=(48, 3)).astype(np.float64)
     ds = PixelDataset(pixels=px, width=8, height=6)
     config = ClusterConfig(cluster_count=cluster_count, seed=11)
     sconfig = SwarmConfig(
-        swarm_size=7, n_max=40, mode=mode, variance_tol=variance_tol
+        swarm_size=7,
+        n_max=40,
+        variance_tol=variance_tol,
+        **(CLASSIC_SCHEDULE if classic else {}),
     )
     centers, history = run_swarm(ds, config, sconfig)
     want_centers, gbest, f_avg, variance, iterations, converged = (
-        per_particle_swarm(ds, config, sconfig)
+        per_particle_swarm(ds, config, sconfig, classic)
     )
+    assert iterations > 0  # the coefficients were used
     assert np.array_equal(centers, want_centers)
     assert np.array_equal(history.gbest_fitness, gbest)
     assert np.array_equal(history.f_avg, f_avg)
@@ -392,7 +396,7 @@ def test_run_swarm_classic_mode():
     centers, history = run_swarm(
         ds,
         ClusterConfig(cluster_count=2, seed=3),
-        SwarmConfig(swarm_size=10, n_max=30, mode="classic"),
+        SwarmConfig(swarm_size=10, n_max=30, **CLASSIC_SCHEDULE),
     )
     assert centers.shape == (2, 1)
     assert np.all(history.gbest_fitness[1:] <= history.gbest_fitness[:-1])
@@ -403,10 +407,13 @@ def test_config_validation():
         SwarmConfig(swarm_size=0)
     with pytest.raises(ValueError):
         SwarmConfig(n_max=0)
+    for name in ("swarm_size", "n_max"):
+        for bad in (2.5, 2.0, float("inf"), float("nan"), "3"):
+            with pytest.raises(ValueError):
+                SwarmConfig(**{name: bad})
+    assert SwarmConfig(swarm_size=np.int64(3), n_max=np.int32(4)).n_max == 4
     with pytest.raises(ValueError):
         SwarmConfig(w_max=0.3, w_min=0.4)
-    with pytest.raises(ValueError):
-        SwarmConfig(mode="zigzag")
     with pytest.raises(ValueError):
         SwarmConfig(c1_init=0.5, c2_init=2.5)  # cognitive must start on top
     with pytest.raises(ValueError):
@@ -417,7 +424,7 @@ def test_config_validation():
         SwarmConfig(variance_tol=-1.0)
     for name in (
         "w_max", "w_min", "c1_init", "c1_final", "c2_init", "c2_final",
-        "constant_w", "constant_c", "variance_tol",
+        "variance_tol",
     ):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError):
