@@ -11,6 +11,13 @@ Conventions used across the package:
 
 Center sets, membership matrices and labelings are deliberately bare
 ``numpy`` arrays rather than wrapper classes.
+
+Inside the engines the distance kernel works channel-major: a block of
+pixels is a (d, B) array whose rows are contiguous channels, and its
+distances come out as (C, B), one contiguous row per center.
+``squared_distances`` transposes them into the public (N, C) layout;
+``channel_major_distances`` keeps them as (C, N), which is how FCM holds
+distances, memberships and weights throughout its alternation.
 """
 
 from __future__ import annotations
@@ -172,11 +179,17 @@ def validate_config(config: ClusterConfig, dataset: PixelDataset) -> ClusterConf
 def _count_distinct(pixels: np.ndarray, limit: int) -> int:
     """Number of distinct rows of ``pixels``, counted no further than ``limit``.
 
-    Takes the first row, then repeatedly the first row equal to none taken
-    so far; every row before a taken one equals an earlier taken row, so
-    each pass scans only the rows after it. Costs one vectorised pass per
-    value counted, with no sort, and is exact below ``limit``.
+    Integer-valued pixels with at most three channels are packed one integer
+    per row, sorted, and counted where neighbours differ. Other pixels are
+    counted by taking the first row, then repeatedly the first row equal to
+    none taken so far; every row before a taken one equals an earlier taken
+    row, so each pass scans only the rows after it. That costs one
+    vectorised pass per value counted. Both are exact below ``limit``.
     """
+    codes = _packed_levels(pixels)
+    if codes is not None:
+        codes.sort()
+        return min(1 + int(np.count_nonzero(codes[1:] != codes[:-1])), limit)
     fresh = np.ones(pixels.shape[0], dtype=bool)
     count = i = 0
     while count < limit:
@@ -186,6 +199,23 @@ def _count_distinct(pixels: np.ndarray, limit: int) -> int:
         if not fresh[i]:
             break
     return count
+
+
+def _packed_levels(pixels: np.ndarray) -> np.ndarray | None:
+    """Each row's 8-bit levels packed into one integer, or None if any is not an integer.
+
+    None also for more than three channels, whose levels do not fit one int32.
+    """
+    if pixels.shape[1] > 3:
+        return None
+    codes = np.zeros(pixels.shape[0], dtype=np.int32)
+    for channel in pixels.T:
+        level = channel.astype(np.int32)
+        if not np.array_equal(level, channel):
+            return None
+        codes <<= 8
+        codes |= level
+    return codes
 
 
 def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
@@ -220,6 +250,26 @@ def _block_squared_distances(
     return out
 
 
+def _distance_blocks(points: np.ndarray, centers: np.ndarray, out: np.ndarray | None):
+    """Yield ``(start, block)``: the (C, b) squared distances of pixels start..start+b.
+
+    Each block of ``PIXEL_BLOCK`` pixels is transposed to channel major and
+    run through the kernel. Blocks are written into ``out[:, start:start+b]``
+    when ``out`` is given, else into one reused scratch block.
+    """
+    n, d = points.shape
+    c = centers.shape[0]
+    width = min(n, PIXEL_BLOCK)
+    cols = _aligned_empty((d, width))
+    tmp = _aligned_empty((c, width))
+    scratch = _aligned_empty((c, width)) if out is None else None
+    for start in range(0, n, PIXEL_BLOCK):
+        b = min(n - start, PIXEL_BLOCK)
+        np.copyto(cols[:, :b], points[start : start + b].T)
+        dest = scratch[:, :b] if out is None else out[:, start : start + b]
+        yield start, _block_squared_distances(cols[:, :b], centers, dest, tmp[:, :b])
+
+
 def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between points (N, d) and centers (C, d).
 
@@ -229,19 +279,28 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    n, d = points.shape
-    c = centers.shape[0]
-    d2 = np.empty((n, c), dtype=np.float64)
-    width = min(n, PIXEL_BLOCK)
-    cols = _aligned_empty((d, width))
-    out = _aligned_empty((c, width))
-    tmp = _aligned_empty((c, width))
-    for start in range(0, n, PIXEL_BLOCK):
-        b = min(n - start, PIXEL_BLOCK)
-        np.copyto(cols[:, :b], points[start : start + b].T)
-        block = _block_squared_distances(cols[:, :b], centers, out[:, :b], tmp[:, :b])
-        d2[start : start + b] = block.T
+    d2 = np.empty((points.shape[0], centers.shape[0]), dtype=np.float64)
+    for start, block in _distance_blocks(points, centers, None):
+        d2[start : start + block.shape[1]] = block.T
     return d2
+
+
+def channel_major_distances(
+    points: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared distances as a (C, N) array: ``squared_distances(points, centers).T``.
+
+    Row j holds every pixel's distance to center j. The kernel writes each
+    block straight into ``out`` (allocated when not given), so neither an
+    (N, C) array nor a full (d, N) copy of the pixels is ever made.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    if out is None:
+        out = np.empty((centers.shape[0], points.shape[0]), dtype=np.float64)
+    for _ in _distance_blocks(points, centers, out):
+        pass
+    return out
 
 
 def min_squared_distances(dataset: PixelDataset, centers: np.ndarray) -> np.ndarray:

@@ -82,7 +82,7 @@ def evaluate_jm(
     """
     if not fuzzifier > 1.0:
         raise ValueError("fuzzifier must be > 1")
-    jm, _, _ = _membership_step(dataset, centers, fuzzifier)
+    jm, _ = _membership_step(dataset, centers, fuzzifier)
     return jm
 
 

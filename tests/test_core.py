@@ -10,7 +10,9 @@ from swarmseg.core import (
     InvalidFuzzifierError,
     PixelDataset,
     TooManyClustersError,
+    _count_distinct,
     assign_nearest,
+    channel_major_distances,
     min_squared_distances,
     sample_distinct_pixels,
     squared_distances,
@@ -117,6 +119,42 @@ def test_validate_config_reports_exact_distinct_count():
     for count in (5, 9):
         with pytest.raises(TooManyClustersError, match=r"only 4 distinct pixel values"):
             validate_config(ClusterConfig(cluster_count=count), ds)
+
+
+@pytest.mark.parametrize("limit", [3, 64])
+@pytest.mark.parametrize("palette", [2, 40, 63, 64, 65, None])
+def test_count_distinct_matches_unique(palette, limit):
+    # integer pixels with up to three channels are counted by sorting packed
+    # levels, other pixels by the pass per color; both agree with np.unique
+    # below the limit and cap at it
+    rng = np.random.default_rng(64)
+    if palette is None:
+        px = rng.integers(0, 256, (20000, 3)).astype(np.float64)
+    else:
+        colors = rng.integers(0, 256, (palette, 3))
+        px = colors[rng.permutation(np.arange(5000) % palette)].astype(np.float64)
+    four = np.column_stack((px, px[:, ::-1]))[:, :4]
+    for pixels in (px, px[:, :1], px[:, :2], four, px * 0.5 + 0.25):
+        want = len(np.unique(pixels, axis=0))
+        assert _count_distinct(pixels, limit) == min(want, limit)
+        ds = PixelDataset(pixels=pixels, width=len(pixels), height=1)
+        if want < limit:
+            with pytest.raises(TooManyClustersError, match=rf"only {want} distinct pixel values"):
+                validate_config(ClusterConfig(cluster_count=limit), ds)
+        else:
+            assert validate_config(ClusterConfig(cluster_count=limit), ds) is not None
+
+
+@pytest.mark.parametrize("n", [1, PIXEL_BLOCK - 1, PIXEL_BLOCK, PIXEL_BLOCK + 1, 2 * PIXEL_BLOCK + 37])
+def test_channel_major_distances_are_the_transpose(n):
+    rng = np.random.default_rng(n)
+    px = rng.uniform(0, 255, (n, 3))
+    centers = rng.uniform(0, 255, (4, 3))
+    want = squared_distances(px, centers).T
+    assert np.array_equal(channel_major_distances(px, centers), want)
+    out = np.full((4, n), np.nan)
+    assert channel_major_distances(px, centers, out) is out
+    assert np.array_equal(out, want)
 
 
 def test_squared_distances_brute_force():

@@ -10,9 +10,13 @@ from swarmseg.core import (
     PixelDataset,
     squared_distances,
 )
+from swarmseg import fcm
 from swarmseg.fcm import (
+    _cluster_sums,
+    _pixel_major_product_sum,
     _reseed_dead,
     _update_centers_partial,
+    _weighted_channel_sums,
     compute_memberships,
     fcm_objective,
     run_fcm,
@@ -276,7 +280,7 @@ def fcm_loop(dataset, centers, config):
     u = compute_memberships(dataset, centers, m)
     trajectory = [fcm_objective(dataset, centers, u, m)]
     for _ in range(config.fcm_max_iters):
-        centers, dead = _update_centers_partial(dataset, u**m)
+        centers, dead = _update_centers_partial(dataset, np.ascontiguousarray((u**m).T))
         if dead:
             centers = _reseed_dead(dataset, centers, dead)
         u = compute_memberships(dataset, centers, m)
@@ -303,3 +307,56 @@ def test_run_fcm_matches_per_step_loop_bitwise(cluster_count, fuzzifier):
     assert np.array_equal(result.jm_trajectory, trajectory)
     assert np.array_equal(result.centers, centers)
     assert np.array_equal(compute_memberships(ds, result.centers, fuzzifier), memberships)
+
+
+# The channel-major loop replays numpy's reduction orders on the (N, C)
+# layout. Each test below pins one replay against the numpy call it stands
+# for, so a numpy release that changes an order fails here by name.
+
+
+def spread(rng, shape):
+    # magnitudes over 12 decades, so any change of summation order shows
+    return rng.random(shape) * 10.0 ** rng.integers(-6, 6, shape)
+
+
+@pytest.mark.parametrize("c", [*range(1, 21), 129, 300])
+def test_cluster_sums_replay_numpy_row_sums(c):
+    rng = np.random.default_rng(c)
+    u = spread(rng, (1000, c))
+    got = _cluster_sums(np.ascontiguousarray(u.T), np.empty(len(u)))
+    assert np.array_equal(got, u.sum(axis=1))
+
+
+@pytest.mark.parametrize("leaf", [128, 1 << 15])
+def test_pixel_major_product_sum_matches_np_sum_on_lengths(monkeypatch, leaf):
+    # a leaf of 128, numpy's own block, splits every run longer than that
+    monkeypatch.setattr(fcm, "_SUM_LEAF", leaf)
+    rng = np.random.default_rng(leaf)
+    for n in [*range(1, 300), 1000, 4097, 24581, 40000]:
+        a, b = spread(rng, n), rng.random(n)
+        assert _pixel_major_product_sum(a[None], b[None]) == np.sum(a * b), n
+
+
+@pytest.mark.parametrize("n, c", [(1 << 20, 3), (100003, 9), (12345, 7), (70000, 1)])
+def test_pixel_major_product_sum_matches_np_sum(n, c):
+    rng = np.random.default_rng(n)
+    a, b = spread(rng, (c, n)), rng.random((c, n))
+    want = np.sum(np.ascontiguousarray(a.T) * np.ascontiguousarray(b.T))
+    assert _pixel_major_product_sum(a, b) == want
+
+
+@pytest.mark.parametrize("n", [PIXEL_BLOCK - 1, PIXEL_BLOCK, PIXEL_BLOCK + 1, 2 * PIXEL_BLOCK + 37])
+def test_center_sums_match_numpy_axis0_sums(n):
+    rng = np.random.default_rng(n)
+    for d in (1, 2, 3, 4):
+        px = np.round(rng.uniform(0, 255, (n, d)))
+        ds = PixelDataset(pixels=px, width=n, height=1)
+        columns = spread(rng, (n, 5))  # (N, C) weights, as the old layout held them
+        weights = np.ascontiguousarray(columns.T)
+        sums = np.array([np.sum(w[:, None] * px, axis=0) for w in columns.T])
+        if d > 1:
+            assert np.array_equal(_weighted_channel_sums(weights, px), sums)
+        centers, dead = _update_centers_partial(ds, weights)
+        assert dead == []
+        totals = np.array([np.sum(w) for w in columns.T])  # strided columns
+        assert np.array_equal(centers, sums / totals[:, None])
