@@ -2,9 +2,9 @@
 
 Conventions used across the package:
 
-* a *pixel dataset* is a ``PixelDataset``: an (N, d) float64 array of color
-  points in [0, 255] plus the image geometry (d == 3 for RGB images; the
-  math is written for general d so tests can run on scalar data),
+* a *pixel dataset* is a ``PixelDataset``: N color points of d channels
+  in [0, 255] plus the image geometry (d == 3 for RGB images; the math is
+  written for general d so tests can run on scalar data),
 * a *center set* is a plain (C, d) float64 array of cluster prototypes,
 * a *membership matrix* is an (N, C) float64 array whose rows sum to 1,
 * a *labeling* is an (N,) int array of cluster indices in [0, C).
@@ -12,12 +12,14 @@ Conventions used across the package:
 Center sets, membership matrices and labelings are deliberately bare
 ``numpy`` arrays rather than wrapper classes.
 
-Inside the engines the distance kernel works channel-major: a block of
-pixels is a (d, B) array whose rows are contiguous channels, and its
-distances come out as (C, B), one contiguous row per center.
-``squared_distances`` transposes them into the public (N, C) layout;
-``channel_major_distances`` keeps them as (C, N), which is how FCM holds
-distances, memberships and weights throughout its alternation.
+The pixels are stored once, channel-major: one C-contiguous (d, N)
+float64 array whose rows are the channels. ``PixelDataset.pixels`` is its
+(N, d) transposed view, so ``pixels.T`` hands every engine contiguous
+channel rows without a copy. The distance kernel reads (d, B) blocks of
+those rows, and its distances come out as (C, B), one contiguous row per
+center. ``squared_distances`` transposes them into the public (N, C)
+layout; ``channel_major_distances`` keeps them as (C, N), which is how FCM
+holds distances, memberships and weights throughout its alternation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -80,8 +81,11 @@ class PixelDataset:
     """Flat array of color points plus the image geometry they came from.
 
     ``pixels`` has shape (N, d) with every component finite and in [0, 255];
-    ``width * height`` must equal N. Instances are immutable and safe to
-    share between engines.
+    ``width * height`` must equal N. Any (N, d) array of numbers is accepted
+    and copied once into a fresh read-only, C-contiguous float64 (d, N)
+    array; ``pixels`` is that array's transposed view, so ``pixels.T`` is
+    the channel-major copy itself. The caller's array is neither aliased nor
+    frozen. Instances are immutable and safe to share between engines.
     """
 
     pixels: np.ndarray
@@ -89,12 +93,13 @@ class PixelDataset:
     height: int
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
+        px = np.asarray(self.pixels)
         if px.ndim != 2 or px.shape[0] < 1:
             raise ValueError("pixels must be a non-empty (N, d) array")
-        if not np.all(np.isfinite(px)):
+        cols = np.array(px.T, dtype=np.float64, order="C")
+        if not np.all(np.isfinite(cols)):
             raise ValueError("pixel components must be finite")
-        if px.min() < 0.0 or px.max() > 255.0:
+        if cols.min() < 0.0 or cols.max() > 255.0:
             raise ValueError("pixel components must lie in [0, 255]")
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be positive")
@@ -103,8 +108,8 @@ class PixelDataset:
                 f"width*height = {self.width * self.height} does not match "
                 f"pixel count {px.shape[0]}"
             )
-        px.setflags(write=False)
-        object.__setattr__(self, "pixels", px)
+        cols.setflags(write=False)
+        object.__setattr__(self, "pixels", cols.T)
 
     @property
     def n_pixels(self) -> int:
@@ -113,20 +118,6 @@ class PixelDataset:
     @property
     def n_channels(self) -> int:
         return self.pixels.shape[1]
-
-    @cached_property
-    def channel_views(self) -> np.ndarray:
-        """Read-only channel-major copy of ``pixels``, shape (d, N).
-
-        Row k is channel k as one contiguous (N,) array. The swarm's fitness
-        runs thousands of times per search and streams over pixel blocks of
-        these rows; the one-time copy pays for itself at once. Only the swarm
-        path builds it, so single FCM or k-means runs on large images never
-        hold this second copy.
-        """
-        cols = np.ascontiguousarray(self.pixels.T)
-        cols.setflags(write=False)
-        return cols
 
 
 @dataclass(frozen=True)
@@ -253,29 +244,32 @@ def _block_squared_distances(
 def _distance_blocks(points: np.ndarray, centers: np.ndarray, out: np.ndarray | None):
     """Yield ``(start, block)``: the (C, b) squared distances of pixels start..start+b.
 
-    Each block of ``PIXEL_BLOCK`` pixels is transposed to channel major and
-    run through the kernel. Blocks are written into ``out[:, start:start+b]``
-    when ``out`` is given, else into one reused scratch block.
+    The kernel reads each block of ``PIXEL_BLOCK`` pixels as a (d, b) slice
+    of ``points.T``, contiguous rows for a dataset's pixels. Blocks are
+    written into ``out[:, start:start+b]`` when ``out`` is given, else into
+    one reused scratch block. Centers not d wide raise ``ValueError``.
     """
-    n, d = points.shape
+    cols = points.T
+    d, n = cols.shape
+    if centers.shape[-1] != d:
+        raise ValueError(f"centers are {centers.shape[-1]} wide but the pixels have {d} channels")
     c = centers.shape[0]
     width = min(n, PIXEL_BLOCK)
-    cols = _aligned_empty((d, width))
     tmp = _aligned_empty((c, width))
     scratch = _aligned_empty((c, width)) if out is None else None
     for start in range(0, n, PIXEL_BLOCK):
-        b = min(n - start, PIXEL_BLOCK)
-        np.copyto(cols[:, :b], points[start : start + b].T)
+        block = cols[:, start : start + PIXEL_BLOCK]
+        b = block.shape[1]
         dest = scratch[:, :b] if out is None else out[:, start : start + b]
-        yield start, _block_squared_distances(cols[:, :b], centers, dest, tmp[:, :b])
+        yield start, _block_squared_distances(block, centers, dest, tmp[:, :b])
 
 
 def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between points (N, d) and centers (C, d).
 
-    Returns an (N, C) array. Each pixel block is transposed to channel
-    major and run through the shared distance kernel, so entries are exact
-    for integer-valued inputs and bit-stable regardless of thread settings.
+    Returns a C-ordered (N, C) array. Each pixel block runs channel-major
+    through the shared distance kernel, so entries are exact for
+    integer-valued inputs and bit-stable regardless of thread settings.
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -291,8 +285,8 @@ def channel_major_distances(
     """Squared distances as a (C, N) array: ``squared_distances(points, centers).T``.
 
     Row j holds every pixel's distance to center j. The kernel writes each
-    block straight into ``out`` (allocated when not given), so neither an
-    (N, C) array nor a full (d, N) copy of the pixels is ever made.
+    block straight into ``out`` (allocated when not given), so no (N, C)
+    array is ever made.
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -306,15 +300,15 @@ def channel_major_distances(
 def min_squared_distances(dataset: PixelDataset, centers: np.ndarray) -> np.ndarray:
     """Squared distance from each pixel to its nearest center, shape (N,).
 
-    The row minima of ``squared_distances``; the one-set reference for
-    :func:`quantization_errors`. It builds the whole (N, C) distance matrix
-    first, so its peak memory is O(N * C), not the O(N) of
+    The row minima of ``squared_distances``, taken one (C, b) kernel block
+    at a time, so its memory is O(N); the one-set reference for
     :func:`quantization_errors`.
     """
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] < 1:
         raise ValueError("centers must be a non-empty (C, d) array")
-    return squared_distances(dataset.pixels, centers).min(axis=1)
+    blocks = _distance_blocks(dataset.pixels, centers, None)
+    return np.concatenate([block.min(axis=0) for _, block in blocks])
 
 
 def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.ndarray:
@@ -324,15 +318,17 @@ def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.nd
     bit for bit: the distances come from the same kernel, the minimum is
     exact, and each set's error is one sum over its whole (N,) row of
     nearest-center distances. The sets are scored ``CENTER_SETS_PER_SWEEP``
-    at a time per sweep over blocks of the cached channel-major
-    ``channel_views``. The kernel's scratch is allocated once per call, since
-    fresh blocks of that size cost a page fault per page.
+    at a time per sweep over blocks of the channel-major ``pixels.T``. The
+    kernel's scratch is allocated once per call, since fresh blocks of that
+    size cost a page fault per page.
     """
     sets = np.asarray(center_sets, dtype=np.float64)
     if sets.ndim != 3 or sets.shape[1] < 1:
         raise ValueError("center_sets must be a (P, C, d) array with C >= 1")
     p, c, d = sets.shape
-    cols = dataset.channel_views
+    cols = dataset.pixels.T
+    if len(cols) != d:
+        raise ValueError(f"centers are {d} wide but the pixels have {len(cols)} channels")
     n = dataset.n_pixels
     per_sweep = min(p, CENTER_SETS_PER_SWEEP)
     errors = np.empty(p)

@@ -28,6 +28,7 @@ from .core import (
     DegenerateClusteringError,
     PixelDataset,
     channel_major_distances,
+    min_squared_distances,
     reseed_farthest,
     squared_distances,
     validate_config,
@@ -235,14 +236,13 @@ def _weighted_channel_sums(weights: np.ndarray, pixels: np.ndarray) -> np.ndarra
     in-place cumulative sum along the pixels carries them on.
     """
     c, n = weights.shape
-    d = pixels.shape[1]
+    cols = pixels.T
     width = min(n, PIXEL_BLOCK)
-    cols = np.empty((d, width))
-    terms = np.zeros((c, d, width + 1))
+    terms = np.zeros((c, len(cols), width + 1))
     for start in range(0, n, PIXEL_BLOCK):
         b = min(n - start, PIXEL_BLOCK)
-        np.copyto(cols[:, :b], pixels[start : start + b].T)
-        np.multiply(weights[:, None, start : start + b], cols[:, :b], out=terms[:, :, 1 : b + 1])
+        block = slice(start, start + b)
+        np.multiply(weights[:, None, block], cols[:, block], out=terms[:, :, 1 : b + 1])
         np.cumsum(terms[:, :, : b + 1], axis=2, out=terms[:, :, : b + 1])
         terms[:, :, 0] = terms[:, :, b]
     return terms[:, :, 0].copy()
@@ -297,11 +297,7 @@ def _reseed_dead(
     survivors, one pixel per center.
     """
     live = np.delete(centers, dead, axis=0)
-    nearest = np.empty(dataset.n_pixels)
-    for start in range(0, dataset.n_pixels, PIXEL_BLOCK):
-        pixels = dataset.pixels[start : start + PIXEL_BLOCK]
-        nearest[start : start + len(pixels)] = channel_major_distances(pixels, live).min(axis=0)
-    return reseed_farthest(dataset, centers, dead, nearest)
+    return reseed_farthest(dataset, centers, dead, min_squared_distances(dataset, live))
 
 
 def run_fcm(

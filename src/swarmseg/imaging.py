@@ -145,7 +145,7 @@ def to_dataset(image: RawImage, max_side: int | None = None) -> PixelDataset:
             k = -(-longer // max_side)  # ceil division
 
     if k == 1:
-        arr = rgb.astype(np.float64)
+        arr = rgb  # PixelDataset's channel-major copy is the one float64 conversion
     else:
         # Block sums of 8-bit values are exact integers in float64, so
         # summing rows first, then columns, gives each block mean the same

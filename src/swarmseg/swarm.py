@@ -12,9 +12,10 @@ center (the quantization error of that center set). The swarm is held as
 (P, C*d) position, velocity and personal-best arrays plus a (P,) array of
 personal-best fitness, and one step advances every row at once. One
 ``swarm_fitness`` call per step scores the whole swarm: it sweeps the
-channel-major pixels a few particles at a time and matches
-``particle_fitness`` row by row bit for bit. The swarm stops when the
-relative fitness variance collapses or the iteration budget runs out.
+dataset's stored channel-major pixels (``pixels.T``, no copy) a few
+particles at a time and matches ``particle_fitness`` row by row bit for
+bit. The swarm stops when the relative fitness variance collapses or the
+iteration budget runs out.
 
 Determinism contract: one seeded generator drives the whole run, consumed
 in a fixed order: the particles are initialized one by one, then each step

@@ -14,10 +14,13 @@ from swarmseg.core import (
     assign_nearest,
     channel_major_distances,
     min_squared_distances,
+    quantization_errors,
     sample_distinct_pixels,
     squared_distances,
     validate_config,
 )
+from swarmseg.fcm import compute_memberships, run_fcm
+from swarmseg.report import evaluate_jm
 
 
 def scalar_dataset(values):
@@ -45,16 +48,31 @@ def test_dataset_pixels_are_read_only():
         ds.pixels[0, 0] = 5.0
 
 
-def test_channel_views_match_columns():
+def test_pixels_are_one_channel_major_copy():
+    # pixels is the (N, d) view of one fresh (d, N) float64 array
     rng = np.random.default_rng(5)
-    px = rng.uniform(0, 255, (30, 3))
+    px = rng.integers(0, 256, (30, 3), dtype=np.uint8)
     ds = PixelDataset(pixels=px, width=30, height=1)
-    cols = ds.channel_views
-    assert len(cols) == 3
-    for k in range(3):
-        assert np.array_equal(cols[k], ds.pixels[:, k])
-        assert cols[k].flags.c_contiguous
-        assert not cols[k].flags.writeable
+    cols = ds.pixels.T
+    assert cols.shape == (3, 30) and cols.dtype == np.float64
+    assert cols.flags.c_contiguous
+    assert not cols.flags.writeable
+    assert ds.pixels.base.flags.owndata and ds.pixels.base.nbytes == 30 * 3 * 8
+    assert np.array_equal(ds.pixels, px)
+
+
+def test_dataset_leaves_the_callers_array_writable():
+    px = np.zeros((2, 3))
+    PixelDataset(pixels=px, width=2, height=1)
+    assert px.flags.writeable
+
+
+def test_dataset_does_not_alias_the_callers_buffer():
+    base = np.zeros((4, 3))
+    ds = PixelDataset(pixels=base[:2], width=2, height=1)
+    base[0, 0] = 999.0
+    assert ds.pixels[0, 0] == 0.0
+    assert not np.shares_memory(ds.pixels, base)
 
 
 def test_cluster_config_validation():
@@ -155,6 +173,40 @@ def test_channel_major_distances_are_the_transpose(n):
     out = np.full((4, n), np.nan)
     assert channel_major_distances(px, centers, out) is out
     assert np.array_equal(out, want)
+
+
+def test_squared_distances_are_c_ordered():
+    # numpy's reductions downstream follow the memory layout, so the (N, C)
+    # result must not be the transposed view of a (C, N) array
+    rng = np.random.default_rng(2)
+    n = PIXEL_BLOCK + 3
+    ds = PixelDataset(pixels=rng.uniform(0, 255, (n, 3)), width=n, height=1)
+    d2 = squared_distances(ds.pixels, rng.uniform(0, 255, (4, 3)))
+    assert d2.shape == (n, 4)
+    assert d2.flags.c_contiguous
+
+
+CENTER_ENTRY_POINTS = {
+    "squared_distances": lambda ds, centers: squared_distances(ds.pixels, centers),
+    "channel_major_distances": lambda ds, centers: channel_major_distances(ds.pixels, centers),
+    "min_squared_distances": min_squared_distances,
+    "assign_nearest": assign_nearest,
+    "quantization_errors": lambda ds, centers: quantization_errors(ds, centers[None]),
+    "compute_memberships": lambda ds, centers: compute_memberships(ds, centers, 2.0),
+    "evaluate_jm": evaluate_jm,
+    "run_fcm": lambda ds, centers: run_fcm(ds, centers, ClusterConfig(cluster_count=3)),
+}
+
+
+@pytest.mark.parametrize("width", [2, 4])
+@pytest.mark.parametrize("entry", sorted(CENTER_ENTRY_POINTS))
+def test_center_width_must_match_channels(entry, width):
+    rng = np.random.default_rng(4)
+    ds = PixelDataset(pixels=rng.uniform(0, 255, (50, 3)), width=50, height=1)
+    centers = rng.uniform(0, 255, (3, width))
+    message = rf"centers are {width} wide but the pixels have 3 channels"
+    with pytest.raises(ValueError, match=message):
+        CENTER_ENTRY_POINTS[entry](ds, centers)
 
 
 def test_squared_distances_brute_force():

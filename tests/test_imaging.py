@@ -1,5 +1,7 @@
 """Binary PPM codec, downscaling, and palette reconstruction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from swarmseg.imaging import (
     to_dataset,
     write_ppm,
 )
+from swarmseg.synthetic import random_image
 
 
 def ppm_bytes(width, height, payload, maxval=255, magic=b"P6"):
@@ -127,6 +130,21 @@ def test_to_dataset_identity():
     ds = to_dataset(img)
     assert ds.width == 2 and ds.height == 1
     assert ds.pixels.tolist() == [[10.0, 20.0, 30.0], [40.0, 50.0, 60.0]]
+
+
+def test_to_dataset_converts_once_at_full_resolution():
+    # the 8-bit payload goes straight into the dataset's one float64 copy
+    img = random_image(256, 128, seed=9)
+    n = 256 * 128
+    tracemalloc.start()
+    try:
+        ds = to_dataset(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.pixels.base.nbytes == n * 3 * 8
+    assert ds.pixels.base.flags.owndata
+    assert peak < n * 3 * 8 * 1.25
 
 
 def test_to_dataset_box_average():
