@@ -18,8 +18,9 @@ float64 array whose rows are the channels. ``PixelDataset.pixels`` is its
 channel rows without a copy. The distance kernel reads (d, B) blocks of
 those rows, and its distances come out as (C, B), one contiguous row per
 center. ``squared_distances`` transposes them into the public (N, C)
-layout; ``channel_major_distances`` keeps them as (C, N), which is how FCM
-holds distances, memberships and weights throughout its alternation.
+layout; ``channel_major_distances`` keeps them as (C, N). FCM's
+alternation takes them one (C, B) block at a time and holds no (C, N)
+array.
 """
 
 from __future__ import annotations
@@ -97,10 +98,12 @@ class PixelDataset:
         if px.ndim != 2 or px.shape[0] < 1:
             raise ValueError("pixels must be a non-empty (N, d) array")
         cols = np.array(px.T, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(cols)):
-            raise ValueError("pixel components must be finite")
-        if cols.min() < 0.0 or cols.max() > 255.0:
-            raise ValueError("pixel components must lie in [0, 255]")
+        # 8-bit levels are finite and in range by type
+        if px.dtype != np.uint8:
+            if not np.all(np.isfinite(cols)):
+                raise ValueError("pixel components must be finite")
+            if cols.min() < 0.0 or cols.max() > 255.0:
+                raise ValueError("pixel components must lie in [0, 255]")
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be positive")
         if self.width * self.height != px.shape[0]:
@@ -241,27 +244,32 @@ def _block_squared_distances(
     return out
 
 
-def _distance_blocks(points: np.ndarray, centers: np.ndarray, out: np.ndarray | None):
+def _distance_blocks(
+    points: np.ndarray,
+    centers: np.ndarray,
+    out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
+):
     """Yield ``(start, block)``: the (C, b) squared distances of pixels start..start+b.
 
     The kernel reads each block of ``PIXEL_BLOCK`` pixels as a (d, b) slice
     of ``points.T``, contiguous rows for a dataset's pixels. Blocks are
     written into ``out[:, start:start+b]`` when ``out`` is given, else into
-    one reused scratch block. Centers not d wide raise ``ValueError``.
+    ``work[0]``; ``work[1]`` is the kernel's scratch. ``work`` holds two
+    (C, min(N, PIXEL_BLOCK)) arrays, allocated when not given. Centers not
+    d wide raise ``ValueError``.
     """
     cols = points.T
     d, n = cols.shape
     if centers.shape[-1] != d:
         raise ValueError(f"centers are {centers.shape[-1]} wide but the pixels have {d} channels")
-    c = centers.shape[0]
-    width = min(n, PIXEL_BLOCK)
-    tmp = _aligned_empty((c, width))
-    scratch = _aligned_empty((c, width)) if out is None else None
+    if work is None:
+        work = tuple(_aligned_empty((centers.shape[0], min(n, PIXEL_BLOCK))) for _ in range(2))
     for start in range(0, n, PIXEL_BLOCK):
         block = cols[:, start : start + PIXEL_BLOCK]
         b = block.shape[1]
-        dest = scratch[:, :b] if out is None else out[:, start : start + b]
-        yield start, _block_squared_distances(block, centers, dest, tmp[:, :b])
+        dest = work[0][:, :b] if out is None else out[:, start : start + b]
+        yield start, _block_squared_distances(block, centers, dest, work[1][:, :b])
 
 
 def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -274,7 +282,7 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     d2 = np.empty((points.shape[0], centers.shape[0]), dtype=np.float64)
-    for start, block in _distance_blocks(points, centers, None):
+    for start, block in _distance_blocks(points, centers):
         d2[start : start + block.shape[1]] = block.T
     return d2
 
@@ -307,7 +315,7 @@ def min_squared_distances(dataset: PixelDataset, centers: np.ndarray) -> np.ndar
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] < 1:
         raise ValueError("centers must be a non-empty (C, d) array")
-    blocks = _distance_blocks(dataset.pixels, centers, None)
+    blocks = _distance_blocks(dataset.pixels, centers)
     return np.concatenate([block.min(axis=0) for _, block in blocks])
 
 

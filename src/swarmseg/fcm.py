@@ -6,12 +6,14 @@ current memberships. Recording the objective once per alternation therefore
 yields a non-increasing trajectory, which the tests rely on.
 
 The public functions take and return (N, C) membership matrices. The loop
-itself works on the channel-major (C, N) layout of the distance kernel, one
-contiguous row per cluster. Minima, ``any`` and ``argmax`` across clusters
-are exact in any order, so they are numpy's own, one pixel block at a time.
-Each sum replays the order in which numpy sums the (N, C) layout
-(``_cluster_sums``, ``_pixel_major_product_sum``,
-``_weighted_channel_sums``), so both layouts give the same bits.
+makes one pass over the pixel blocks per alternation (``_Sweep``): each
+channel-major (C, b) block of the distance kernel, one contiguous row per
+cluster, becomes memberships, weights u**m and its share of J_m and of the
+center sums before the next block is read, so the loop holds no array of
+N·C values. Minima, ``any`` and ``argmax`` across clusters are exact in any
+order, so they are numpy's own. Each sum replays the order in which numpy
+sums the whole (N, C) arrays (``_cluster_sums``, ``_StreamedSum``,
+``_CenterSums``), so the blocks give the same bits.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .core import (
     DeadClusterError,
     DegenerateClusteringError,
     PixelDataset,
-    channel_major_distances,
+    _aligned_empty,
+    _distance_blocks,
     min_squared_distances,
     reseed_farthest,
     squared_distances,
@@ -38,7 +41,7 @@ from .core import (
 # eight interleaved accumulators and splits a longer run in two.
 _PAIRWISE_BLOCK = 128
 
-# Longest run of the blocked J_m sum handed to one ``np.sum`` call.
+# Longest run of a streamed pairwise sum handed to one ``np.sum`` call (a leaf).
 _SUM_LEAF = 1 << 15
 
 
@@ -69,34 +72,24 @@ def compute_memberships(
     become crisp: 1 on the first such center, 0 elsewhere. Distances are
     normalized by each row's minimum before exponentiation so large
     exponents cannot overflow. The result is the transpose of a (C, N)
-    array.
+    array, filled one ``_Sweep`` block at a time.
     """
     if not fuzzifier > 1.0:
         raise ValueError("fuzzifier must be > 1")
-    return _memberships(channel_major_distances(dataset.pixels, centers), fuzzifier).T
-
-
-def _memberships(
-    d2: np.ndarray, fuzzifier: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(C, N) memberships from the (C, N) squared distances ``d2``, left unchanged.
-
-    Bit for bit the transpose of the (N, C) formula: the minimum over the
-    clusters is exact in any order, and the sum over them replays numpy's
-    order (``_cluster_sums``). Works one block of ``PIXEL_BLOCK`` pixels at
-    a time, in place in ``out`` (allocated when not given), so its other
-    work arrays stay block-sized.
-    """
-    if out is None:
-        out = np.empty_like(d2)
-    for start in range(0, d2.shape[1], PIXEL_BLOCK):
-        block = slice(start, start + PIXEL_BLOCK)
-        _membership_block(d2[:, block], fuzzifier, out[:, block])
-    return out
+    centers = np.asarray(centers, dtype=np.float64)
+    out = np.empty((len(centers), dataset.n_pixels))
+    for start, _, u in _Sweep(dataset, len(centers), fuzzifier).memberships(centers):
+        out[:, start : start + u.shape[1]] = u
+    return out.T
 
 
 def _membership_block(d2: np.ndarray, fuzzifier: float, u: np.ndarray) -> None:
-    """``_memberships`` of one (C, b) block, written into ``u``."""
+    """(C, b) memberships from the (C, b) squared distances ``d2``, written into ``u``.
+
+    Bit for bit the transpose of the (N, C) formula: the minimum over the
+    clusters is exact in any order, and the sum over them replays numpy's
+    order (``_cluster_sums``). ``d2`` is left unchanged.
+    """
     # Work on squared distances: (d_ij/d_ik)^(2/(m-1)) == (D_ij/D_ik)^(1/(m-1)).
     # Dividing each pixel's minimum by its entries keeps every ratio in (0, 1],
     # so large exponents underflow harmlessly instead of overflowing. ``**=``
@@ -147,37 +140,117 @@ def _cluster_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pairwise_tree(start: int, length: int, leaf) -> float:
-    """numpy's pairwise sum of a run, with ``leaf(start, length)`` summing short runs.
+def _pairwise_tree(length: int, leaf):
+    """numpy's pairwise sum of a run of ``length`` values, ``leaf(size)`` giving each leaf.
 
     The run is split where numpy splits it down to runs of at most
-    ``_SUM_LEAF`` elements; ``np.sum`` over one of those equals numpy's
-    subtree over it, so the result equals one ``np.sum`` over the whole run.
+    ``_SUM_LEAF`` elements, and ``leaf`` is called on them left to right.
+    ``np.sum`` over one of those equals numpy's subtree over it, so adding
+    the leaves' sums here equals one ``np.sum`` over the whole run. With
+    ``leaf=lambda size: [size]`` the result is the list of leaf sizes.
     """
     if length <= _SUM_LEAF:
-        return leaf(start, length)
+        return leaf(length)
     half = length // 2 - (length // 2) % 8
-    return _pairwise_tree(start, half, leaf) + _pairwise_tree(start + half, length - half, leaf)
+    return _pairwise_tree(half, leaf) + _pairwise_tree(length - half, leaf)
 
 
-def _pixel_major_product_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """``np.sum((a * b).T)`` for (C, N) ``a`` and ``b``, bit for bit, with no (N, C) copy.
+class _StreamedSum:
+    """``np.sum`` of each of ``rows`` runs of ``length`` values that arrive in chunks.
 
-    numpy sums a C-ordered (N, C) array as one flat pairwise run. Each leaf
-    of that tree multiplies only the pixels it covers, transposed into a
-    small (N, C)-ordered buffer; ``a`` and ``b`` are left unchanged.
+    ``feed`` takes the next values of every row. Each leaf of the pairwise
+    tree is summed with ``np.sum`` as soon as all its values have arrived:
+    in place when one chunk holds all of it, otherwise from a pending
+    buffer that keeps only the leaf in progress. ``total`` then adds the
+    leaf sums as numpy does, so each row's sum is ``np.sum`` of the row bit
+    for bit. The leaves are cut once, and ``reset`` starts a new pass.
     """
-    c, n = a.shape
-    buf = np.empty((min(n, _SUM_LEAF // c + 2), c))
 
-    def leaf(start: int, length: int) -> float:
-        first, stop = start // c, -(-(start + length) // c)
-        block = buf[: stop - first]
-        np.multiply(a[:, first:stop].T, b[:, first:stop].T, out=block)
-        offset = start - first * c
-        return np.sum(block.reshape(-1)[offset : offset + length])
+    def __init__(self, rows: int, length: int):
+        self.rows, self.length = rows, length
+        self.leaves = _pairwise_tree(length, lambda size: [size])
+        self.pending: np.ndarray | None = None
+        self.reset()
 
-    return float(_pairwise_tree(0, c * n, leaf))
+    def reset(self) -> None:
+        self.sums: list[np.ndarray] = []
+        self.filled = 0
+
+    def feed(self, chunk: np.ndarray) -> None:
+        """Take the next ``chunk.shape[1]`` values of every row, given as (rows, b)."""
+        at, end = 0, chunk.shape[1]
+        while at < end:
+            size = self.leaves[len(self.sums)]
+            take = min(end - at, size - self.filled)
+            part = chunk[:, at : at + take]
+            at += take
+            if take == size:
+                self.sums.append(np.sum(part, axis=1))
+                continue
+            if self.pending is None:
+                self.pending = np.empty((self.rows, max(self.leaves)))
+            self.pending[:, self.filled : self.filled + take] = part
+            self.filled += take
+            if self.filled == size:
+                self.sums.append(np.sum(self.pending[:, :size], axis=1))
+                self.filled = 0
+
+    def total(self) -> np.ndarray:
+        """The (rows,) sums, once every value has been fed."""
+        sums = iter(self.sums)
+        return _pairwise_tree(self.length, lambda size: next(sums))
+
+
+class _CenterSums:
+    """Weight totals and center numerators of a center update, fed one pixel block at a time.
+
+    For each column w of the (N, C) weights u**m they are bit for bit
+    ``np.sum(w)`` and ``np.sum(w[:, None] * pixels, axis=0)``. numpy sums a
+    strided column pairwise, as ``_StreamedSum`` does each weight row. It
+    sums axis 0 of the (N, d) product sequentially, one pixel after
+    another: column 0 of the (C, d, b + 1) block terms holds the running
+    sums so far, and an in-place cumulative sum along the pixels carries
+    them on. When d == 1 that axis is the product's only one and is summed
+    pairwise instead.
+    """
+
+    def __init__(self, clusters: int, n_pixels: int, channels: int):
+        width = min(n_pixels, PIXEL_BLOCK)
+        self.totals = _StreamedSum(clusters, n_pixels)
+        self.numerators = _StreamedSum(clusters, n_pixels) if channels == 1 else None
+        self.terms = np.empty((clusters, channels, width + 1))
+        self.reset()
+
+    def reset(self) -> None:
+        self.totals.reset()
+        if self.numerators is None:
+            self.terms[:, :, 0] = 0.0
+        else:
+            self.numerators.reset()
+
+    def feed(self, weights: np.ndarray, cols: np.ndarray) -> None:
+        """Add the (C, b) weights of a block whose (d, b) channel rows are ``cols``."""
+        b = weights.shape[1]
+        self.totals.feed(weights)
+        terms = self.terms[:, :, : b + 1]
+        np.multiply(weights[:, None], cols, out=terms[:, :, 1:])
+        if self.numerators is not None:
+            self.numerators.feed(terms[:, 0, 1:])
+            return
+        np.cumsum(terms, axis=2, out=terms)
+        terms[:, :, 0] = terms[:, :, b]
+
+    def centers(self) -> tuple[np.ndarray, list[int]]:
+        """Weighted means of the pixels fed; dead clusters are zero rows, listed."""
+        totals = self.totals.total()
+        if self.numerators is None:
+            sums = self.terms[:, :, 0]
+        else:
+            sums = self.numerators.total()[:, None]
+        dead = totals <= 0.0
+        centers = np.zeros(sums.shape, dtype=np.float64)
+        centers[~dead] = sums[~dead] / totals[~dead, None]
+        return centers, np.flatnonzero(dead).tolist()
 
 
 def update_centers(
@@ -208,44 +281,16 @@ def _update_centers_partial(
     """Center update from the (C, N) weights u**m; reports dead clusters.
 
     Bit for bit ``np.sum(w[:, None] * pixels, axis=0) / np.sum(w)`` for each
-    column w of the (N, C) weights. numpy sums a strided column pairwise,
-    as it does the contiguous row used here. It sums axis 0 of the (N, d)
-    product sequentially, one pixel after another, which
-    ``_weighted_channel_sums`` replays; when d == 1 that axis is the array's
-    only one and is summed pairwise instead. Dead centers are returned as
-    zero rows; callers must overwrite them.
-    """
-    pixels = dataset.pixels
-    c, d = weights.shape[0], pixels.shape[1]
-    totals = np.array([np.sum(w) for w in weights])
-    if d == 1:
-        sums = np.array([[np.sum(w * pixels[:, 0])] for w in weights])
-    else:
-        sums = _weighted_channel_sums(weights, pixels)
-    dead = totals <= 0.0
-    centers = np.zeros((c, d), dtype=np.float64)
-    centers[~dead] = sums[~dead] / totals[~dead, None]
-    return centers, np.flatnonzero(dead).tolist()
-
-
-def _weighted_channel_sums(weights: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    """(C, d) sums of ``weights[j, i] * pixels[i, k]`` over pixels i, added in pixel order.
-
-    Works one block of ``PIXEL_BLOCK`` pixels at a time: column 0 of each
-    block's (C, d, b + 1) products holds the running sums so far, and an
-    in-place cumulative sum along the pixels carries them on.
+    column w of the (N, C) weights (``_CenterSums``). Dead centers are
+    returned as zero rows; callers must overwrite them.
     """
     c, n = weights.shape
-    cols = pixels.T
-    width = min(n, PIXEL_BLOCK)
-    terms = np.zeros((c, len(cols), width + 1))
+    sums = _CenterSums(c, n, dataset.n_channels)
+    cols = dataset.pixels.T
     for start in range(0, n, PIXEL_BLOCK):
-        b = min(n - start, PIXEL_BLOCK)
-        block = slice(start, start + b)
-        np.multiply(weights[:, None, block], cols[:, block], out=terms[:, :, 1 : b + 1])
-        np.cumsum(terms[:, :, : b + 1], axis=2, out=terms[:, :, : b + 1])
-        terms[:, :, 0] = terms[:, :, b]
-    return terms[:, :, 0].copy()
+        block = slice(start, start + PIXEL_BLOCK)
+        sums.feed(weights[:, block], cols[:, block])
+    return sums.centers()
 
 
 def fcm_objective(
@@ -264,27 +309,49 @@ def fcm_objective(
     return float(np.sum(d2))
 
 
-def _membership_step(
-    dataset: PixelDataset,
-    centers: np.ndarray,
-    fuzzifier: float,
-    work: list[np.ndarray] | None = None,
-) -> tuple[float, np.ndarray]:
-    """``(J_m, u**m)`` at ``centers``, both from one ``d2``.
+class _Sweep:
+    """Passes over a dataset's pixel blocks at given centers, with their workspace.
 
-    ``work`` holds two (C, N) arrays (allocated when not given): ``d2`` is
-    written into the first and left there, ``u`` and then ``u**m`` into the
-    second. J_m is ``fcm_objective`` at ``u`` bit for bit: the same
-    products, summed in the (N, C) order.
+    Each block's (C, b) distances, memberships and weights u**m live in
+    block-sized buffers allocated once, so no pass holds an array of N·C
+    values; fresh buffers of this size would page-fault on every pass.
     """
-    centers = np.asarray(centers, dtype=np.float64)
-    if work is None:
-        work = [np.empty((len(centers), dataset.n_pixels)) for _ in range(2)]
-    d2, weights = work
-    channel_major_distances(dataset.pixels, centers, d2)
-    _memberships(d2, fuzzifier, weights)
-    weights **= fuzzifier
-    return _pixel_major_product_sum(d2, weights), weights
+
+    def __init__(self, dataset: PixelDataset, clusters: int, fuzzifier: float):
+        width = min(dataset.n_pixels, PIXEL_BLOCK)
+        self.dataset, self.fuzzifier = dataset, fuzzifier
+        self.kernel = (_aligned_empty((clusters, width)), _aligned_empty((clusters, width)))
+        self.u = np.empty((clusters, width))
+        self.jm = _StreamedSum(1, clusters * dataset.n_pixels)
+
+    def memberships(self, centers: np.ndarray):
+        """Yield ``(start, d2, u)``: the (C, b) distances and memberships of pixels start..start+b."""
+        for start, d2 in _distance_blocks(self.dataset.pixels, centers, work=self.kernel):
+            u = self.u[:, : d2.shape[1]]
+            _membership_block(d2, self.fuzzifier, u)
+            yield start, d2, u
+
+    def objective(self, centers: np.ndarray, sums: _CenterSums | None = None) -> float:
+        """J_m at ``centers``; the weights u**m are also fed to ``sums`` when given.
+
+        J_m is ``fcm_objective`` at the optimal memberships bit for bit: the
+        same products, written pixel-major and summed in the (N, C) order.
+        """
+        c, cols = len(centers), self.dataset.pixels.T
+        self.jm.reset()
+        if sums is not None:
+            sums.reset()
+        for start, d2, u in self.memberships(centers):
+            b = d2.shape[1]
+            u **= self.fuzzifier
+            # the kernel's scratch is free until the next block; a transposed
+            # (b, C) output keeps numpy's inner loop along the pixels
+            products = self.kernel[1].reshape(-1)[: b * c]
+            np.multiply(d2, u, out=products.reshape(b, c).T)
+            self.jm.feed(products[None])
+            if sums is not None:
+                sums.feed(u, cols[:, start : start + b])
+        return float(self.jm.total()[0])
 
 
 def _reseed_dead(
@@ -309,8 +376,9 @@ def run_fcm(
     its previous value, or after ``fcm_max_iters`` alternations. Dead
     clusters are re-seeded to the farthest poorly-covered pixel; if recovery
     is needed in more than C consecutive alternations the instance is
-    declared degenerate. The same two (C, N) arrays hold every
-    alternation's distances and weights.
+    declared degenerate. Each alternation is one ``_Sweep`` over the pixel
+    blocks, and a last one at the final centers gives the labels, so the
+    run's memory beyond the labels is a few blocks.
     """
     validate_config(config, dataset)
     centers = np.array(initial_centers, dtype=np.float64)
@@ -318,20 +386,21 @@ def run_fcm(
         raise ValueError(
             f"initial_centers must have shape ({config.cluster_count}, d)"
         )
-    work = [np.empty((config.cluster_count, dataset.n_pixels)) for _ in range(2)]
+    sweep = _Sweep(dataset, config.cluster_count, config.fuzzifier)
+    sums = _CenterSums(config.cluster_count, dataset.n_pixels, dataset.n_channels)
     trajectory: list[float] = []
     converged = False
     consecutive_dead = 0
 
     for iteration in range(config.fcm_max_iters + 1):
-        jm, weights = _membership_step(dataset, centers, config.fuzzifier, work)
+        jm = sweep.objective(centers, sums)
         if trajectory:
             prev = trajectory[-1]
             converged = abs(prev - jm) <= config.fcm_rel_tol * max(prev, EPS_ZERO)
         trajectory.append(jm)
         if converged or iteration == config.fcm_max_iters:
             break
-        centers, dead = _update_centers_partial(dataset, weights)
+        centers, dead = sums.centers()
         if dead:
             consecutive_dead += 1
             if consecutive_dead > config.cluster_count:
@@ -342,13 +411,9 @@ def run_fcm(
         else:
             consecutive_dead = 0
 
-    # the last step's d2 is still in work[0]; rebuild u from it for the labels,
-    # one block at a time so argmax's (b, C) copy of its input stays small
-    u = _memberships(work[0], config.fuzzifier, weights)
     labels = np.empty(dataset.n_pixels, dtype=np.intp)
-    for start in range(0, dataset.n_pixels, PIXEL_BLOCK):
-        block = slice(start, start + PIXEL_BLOCK)
-        labels[block] = np.argmax(u[:, block], axis=0)
+    for start, _, u in sweep.memberships(centers):
+        labels[start : start + u.shape[1]] = np.argmax(u, axis=0)
     centers = np.clip(centers, 0.0, 255.0)
     return FcmResult(
         centers=centers,

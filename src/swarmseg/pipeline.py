@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import ClusterConfig, PixelDataset, sample_distinct_pixels
 from .fcm import FcmResult, run_fcm
-from .kmeans import run_kmeans
+from .kmeans import KmeansResult, run_kmeans
 from .swarm import CLASSIC_SCHEDULE, SwarmConfig, SwarmHistory, run_swarm
 
 ALGORITHMS = ("kmeans", "fcm", "psofcm", "apsof")
@@ -38,7 +38,9 @@ class SegmentationResult:
     k-means. Cross-algorithm comparisons should recompute a common metric
     from ``centers`` instead of mixing these. ``iterations`` counts all
     optimizer rounds executed (swarm iterations plus c-means alternations
-    for the seeded pipelines).
+    for the seeded pipelines). The engines' own results ride along:
+    ``swarm_history`` and ``fcm_result`` for the c-means family,
+    ``kmeans_result`` (its SSE trajectory and ``converged`` flag) for k-means.
     """
 
     algorithm: str
@@ -50,6 +52,7 @@ class SegmentationResult:
     seed: int
     swarm_history: SwarmHistory | None = None
     fcm_result: FcmResult | None = None
+    kmeans_result: KmeansResult | None = None
 
 
 def run_apsof(
@@ -81,11 +84,11 @@ def run_algorithm(
             f"unknown algorithm {name!r}; expected one of {', '.join(ALGORITHMS)}"
         )
     sconfig = SwarmConfig() if sconfig is None else sconfig
-    history = fcm_result = None
+    history = fcm_result = kmeans_result = None
 
     start = time.perf_counter()
     if name == "kmeans":
-        result = run_kmeans(dataset, config)
+        result = kmeans_result = run_kmeans(dataset, config)
         final_jm, iterations = result.sse_trajectory[-1], result.iterations
     else:
         if name == "fcm":
@@ -111,4 +114,5 @@ def run_algorithm(
         seed=config.seed,
         swarm_history=history,
         fcm_result=fcm_result,
+        kmeans_result=kmeans_result,
     )

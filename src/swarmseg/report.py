@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import PixelDataset
-from .fcm import _membership_step
+from .fcm import _Sweep
 from .pipeline import SegmentationResult
 
 
@@ -82,8 +82,8 @@ def evaluate_jm(
     """
     if not fuzzifier > 1.0:
         raise ValueError("fuzzifier must be > 1")
-    jm, _ = _membership_step(dataset, centers, fuzzifier)
-    return jm
+    centers = np.asarray(centers, dtype=np.float64)
+    return _Sweep(dataset, len(centers), fuzzifier).objective(centers)
 
 
 def build_report(

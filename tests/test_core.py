@@ -42,6 +42,31 @@ def test_dataset_validates_shape_and_range():
         PixelDataset(pixels=np.zeros((4, 3)), width=3, height=1)
 
 
+def test_dataset_from_8bit_levels_equals_the_float_copy():
+    # 8-bit input skips the range checks; the stored array is unchanged
+    px = np.arange(256 * 3, dtype=np.uint8).reshape(256, 3)
+    ds = PixelDataset(pixels=px, width=256, height=1)
+    ref = PixelDataset(pixels=px.astype(np.float64), width=256, height=1)
+    assert ds.pixels.dtype == np.float64
+    assert np.array_equal(ds.pixels, ref.pixels)
+    assert ds.pixels.T.flags.c_contiguous and not ds.pixels.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "px",
+    [
+        np.array([[0, 256, 3]], dtype=np.int16),
+        np.array([[0, -1, 3]], dtype=np.int16),
+        np.array([[0.0, 255.5, 3.0]]),
+        np.array([[0.0, np.inf, 3.0]], dtype=np.float32),
+    ],
+    ids=["int16-high", "int16-negative", "float-high", "float32-inf"],
+)
+def test_dataset_still_checks_other_dtypes(px):
+    with pytest.raises(ValueError):
+        PixelDataset(pixels=px, width=1, height=1)
+
+
 def test_dataset_pixels_are_read_only():
     ds = scalar_dataset([0.0, 1.0])
     with pytest.raises(ValueError):

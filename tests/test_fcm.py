@@ -1,5 +1,7 @@
 """Fuzzy c-means: closed-form updates, objective, and the alternating loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,16 +14,17 @@ from swarmseg.core import (
 )
 from swarmseg import fcm
 from swarmseg.fcm import (
+    _CenterSums,
+    _StreamedSum,
     _cluster_sums,
-    _pixel_major_product_sum,
     _reseed_dead,
     _update_centers_partial,
-    _weighted_channel_sums,
     compute_memberships,
     fcm_objective,
     run_fcm,
     update_centers,
 )
+from swarmseg.report import evaluate_jm
 
 
 def scalar_dataset(values):
@@ -274,6 +277,30 @@ def test_run_fcm_reseeds_dead_cluster_on_farthest_pixel():
     assert result.jm_trajectory[-1] == 0.0
 
 
+def test_run_fcm_and_evaluate_jm_hold_no_cluster_by_pixel_array():
+    # each alternation is one pass over pixel blocks: neither the loop nor
+    # the report's objective allocates a (C, N) float64 array (8.4 MB here)
+    n, c = 1 << 18, 4
+    rng = np.random.default_rng(18)
+    levels = rng.uniform(30, 225, (c, 3))
+    px = np.round(levels[np.arange(n) % c] + rng.normal(0, 12, (n, 3)))
+    ds = PixelDataset(pixels=np.clip(px, 0, 255).astype(np.uint8), width=512, height=512)
+    one_array = c * n * 8
+    tracemalloc.start()
+    try:
+        result = run_fcm(ds, levels, ClusterConfig(cluster_count=c, fcm_max_iters=4))
+        fcm_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        evaluate_jm(ds, result.centers)
+        jm_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert result.iterations >= 2
+    assert fcm_peak < one_array, fcm_peak
+    assert jm_peak < one_array, jm_peak
+
+
 def fcm_loop(dataset, centers, config):
     """run_fcm's alternation written from the per-step functions."""
     m = config.fuzzifier
@@ -327,6 +354,14 @@ def test_cluster_sums_replay_numpy_row_sums(c):
     assert np.array_equal(got, u.sum(axis=1))
 
 
+def streamed_sum(values, chunk):
+    """``_StreamedSum`` over the (rows, length) ``values``, fed ``chunk`` columns at a time."""
+    stream = _StreamedSum(*values.shape)
+    for start in range(0, values.shape[1], chunk):
+        stream.feed(values[:, start : start + chunk])
+    return stream.total()
+
+
 @pytest.mark.parametrize("leaf", [128, 1 << 15])
 def test_pixel_major_product_sum_matches_np_sum_on_lengths(monkeypatch, leaf):
     # a leaf of 128, numpy's own block, splits every run longer than that
@@ -334,15 +369,31 @@ def test_pixel_major_product_sum_matches_np_sum_on_lengths(monkeypatch, leaf):
     rng = np.random.default_rng(leaf)
     for n in [*range(1, 300), 1000, 4097, 24581, 40000]:
         a, b = spread(rng, n), rng.random(n)
-        assert _pixel_major_product_sum(a[None], b[None]) == np.sum(a * b), n
+        want = np.sum(a * b)
+        for chunk in (1, 7, PIXEL_BLOCK):
+            assert streamed_sum((a * b)[None], chunk)[0] == want, (n, chunk)
 
 
 @pytest.mark.parametrize("n, c", [(1 << 20, 3), (100003, 9), (12345, 7), (70000, 1)])
 def test_pixel_major_product_sum_matches_np_sum(n, c):
+    # J_m's products arrive pixel-major, one (b, C) block at a time, so the
+    # leaves of its flat (N, C) tree straddle the blocks
     rng = np.random.default_rng(n)
-    a, b = spread(rng, (c, n)), rng.random((c, n))
-    want = np.sum(np.ascontiguousarray(a.T) * np.ascontiguousarray(b.T))
-    assert _pixel_major_product_sum(a, b) == want
+    a, b = spread(rng, (n, c)), rng.random((n, c))
+    products = (a * b).reshape(1, -1)
+    want = np.sum(a * b)
+    for chunk in (PIXEL_BLOCK, c * PIXEL_BLOCK):
+        assert streamed_sum(products, chunk)[0] == want, chunk
+
+
+@pytest.mark.parametrize("n", [1, 4096, PIXEL_BLOCK + 1, 100003])
+def test_streamed_row_sums_match_np_sum_per_row(n):
+    # the weight totals: one pairwise sum per contiguous cluster row
+    rng = np.random.default_rng(n)
+    rows = spread(rng, (5, n))
+    want = np.array([np.sum(row) for row in rows])
+    for chunk in (7, PIXEL_BLOCK, 3 * PIXEL_BLOCK):
+        assert np.array_equal(streamed_sum(rows, chunk), want), chunk
 
 
 @pytest.mark.parametrize("n", [PIXEL_BLOCK - 1, PIXEL_BLOCK, PIXEL_BLOCK + 1, 2 * PIXEL_BLOCK + 37])
@@ -354,9 +405,14 @@ def test_center_sums_match_numpy_axis0_sums(n):
         columns = spread(rng, (n, 5))  # (N, C) weights, as the old layout held them
         weights = np.ascontiguousarray(columns.T)
         sums = np.array([np.sum(w[:, None] * px, axis=0) for w in columns.T])
-        if d > 1:
-            assert np.array_equal(_weighted_channel_sums(weights, px), sums)
+        totals = np.array([np.sum(w) for w in columns.T])  # strided columns
+        want = sums / totals[:, None]
         centers, dead = _update_centers_partial(ds, weights)
         assert dead == []
-        totals = np.array([np.sum(w) for w in columns.T])  # strided columns
-        assert np.array_equal(centers, sums / totals[:, None])
+        assert np.array_equal(centers, want)
+        # the same accumulator, fed in blocks that do not match PIXEL_BLOCK
+        acc = _CenterSums(5, n, d)
+        for start in range(0, n, 5000):
+            acc.feed(weights[:, start : start + 5000], ds.pixels.T[:, start : start + 5000])
+        got, dead = acc.centers()
+        assert dead == [] and np.array_equal(got, want), d

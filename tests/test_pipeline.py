@@ -7,6 +7,7 @@ import pytest
 
 from swarmseg.core import ClusterConfig
 from swarmseg.imaging import to_dataset
+from swarmseg.kmeans import run_kmeans
 from swarmseg.pipeline import ALGORITHMS, run_algorithm, run_apsof
 from swarmseg.swarm import CLASSIC_SCHEDULE, SwarmConfig, run_swarm
 from swarmseg.synthetic import random_image, solid_block_image
@@ -69,6 +70,22 @@ def test_refinement_never_worsens_the_swarm_seed():
     traj = result.fcm_result.jm_trajectory
     assert traj[-1] <= traj[0] + 1e-9 * max(traj[0], 1.0)
     assert result.final_jm == traj[-1]
+
+
+def test_kmeans_keeps_its_engine_result():
+    ds = to_dataset(random_image(8, 8, seed=3))
+    config = ClusterConfig(cluster_count=3, seed=3)
+    result = run_algorithm("kmeans", ds, config)
+    direct = run_kmeans(ds, config)
+    kept = result.kmeans_result
+    assert kept is not None and result.fcm_result is None
+    assert np.array_equal(kept.sse_trajectory, direct.sse_trajectory)
+    assert np.array_equal(kept.centers, direct.centers)
+    assert np.array_equal(kept.labels, direct.labels)
+    assert (kept.iterations, kept.converged) == (direct.iterations, direct.converged)
+    assert result.final_jm == kept.sse_trajectory[-1]
+    for name in ("fcm", "psofcm", "apsof"):
+        assert run_algorithm(name, ds, config, SMALL_SWARM).kmeans_result is None
 
 
 def test_seeded_pipelines_count_both_stages():
