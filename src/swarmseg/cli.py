@@ -212,18 +212,19 @@ def cmd_bench(args, parser) -> int:
     else:
         parser.error("bench requires --seeds or --seed-count")
     config, sconfig = _build_configs(args, parser)
+    # every seed is checked before the first comparison runs
+    try:
+        configs = [replace(config, seed=seed) for seed in seeds]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     benchmarks = []
     for input_path in args.inputs:
         dataset = _load_dataset(input_path, args.max_side)
         reports = []
-        for seed in seeds:
+        for seed_config in configs:
             _, report = _compare_once(
-                dataset,
-                replace(config, seed=seed),
-                sconfig,
-                str(input_path),
-                args.fuzzifier,
+                dataset, seed_config, sconfig, str(input_path), args.fuzzifier
             )
             reports.append(report)
         benchmarks.append(aggregate_reports(reports))

@@ -18,9 +18,8 @@ float64 array whose rows are the channels. ``PixelDataset.pixels`` is its
 channel rows without a copy. The distance kernel reads (d, B) blocks of
 those rows, and its distances come out as (C, B), one contiguous row per
 center. ``squared_distances`` transposes them into the public (N, C)
-layout; ``channel_major_distances`` keeps them as (C, N). FCM's
-alternation takes them one (C, B) block at a time and holds no (C, N)
-array.
+layout. FCM's alternation and the nearest-center pass (``_nearest``) take
+them one (C, B) block at a time and hold no (N, C) array.
 """
 
 from __future__ import annotations
@@ -247,29 +246,29 @@ def _block_squared_distances(
 def _distance_blocks(
     points: np.ndarray,
     centers: np.ndarray,
-    out: np.ndarray | None = None,
     work: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Yield ``(start, block)``: the (C, b) squared distances of pixels start..start+b.
 
     The kernel reads each block of ``PIXEL_BLOCK`` pixels as a (d, b) slice
-    of ``points.T``, contiguous rows for a dataset's pixels. Blocks are
-    written into ``out[:, start:start+b]`` when ``out`` is given, else into
-    ``work[0]``; ``work[1]`` is the kernel's scratch. ``work`` holds two
-    (C, min(N, PIXEL_BLOCK)) arrays, allocated when not given. Centers not
-    d wide raise ``ValueError``.
+    of ``points.T``, contiguous rows for a dataset's pixels, into
+    ``work[0]``, which the next block overwrites; ``work[1]`` is the
+    kernel's scratch. ``work`` holds two (C, min(N, PIXEL_BLOCK)) arrays,
+    allocated when not given. Centers not d wide or not finite raise
+    ``ValueError``.
     """
     cols = points.T
     d, n = cols.shape
     if centers.shape[-1] != d:
         raise ValueError(f"centers are {centers.shape[-1]} wide but the pixels have {d} channels")
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("centers must be finite")
     if work is None:
         work = tuple(_aligned_empty((centers.shape[0], min(n, PIXEL_BLOCK))) for _ in range(2))
     for start in range(0, n, PIXEL_BLOCK):
         block = cols[:, start : start + PIXEL_BLOCK]
         b = block.shape[1]
-        dest = work[0][:, :b] if out is None else out[:, start : start + b]
-        yield start, _block_squared_distances(block, centers, dest, work[1][:, :b])
+        yield start, _block_squared_distances(block, centers, work[0][:, :b], work[1][:, :b])
 
 
 def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -287,36 +286,33 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
-def channel_major_distances(
-    points: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Squared distances as a (C, N) array: ``squared_distances(points, centers).T``.
+def _nearest(dataset: PixelDataset, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pixel's nearest center: its index and squared distance, two (N,) arrays.
 
-    Row j holds every pixel's distance to center j. The kernel writes each
-    block straight into ``out`` (allocated when not given), so no (N, C)
-    array is ever made.
+    The argmin (lowest index on ties) and minimum over the centers of each
+    (C, b) kernel block: the row argmin and minimum of ``squared_distances``
+    exactly, with no (N, C) array. ``centers`` must be a non-empty (C, d) array.
     """
-    points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    if out is None:
-        out = np.empty((centers.shape[0], points.shape[0]), dtype=np.float64)
-    for _ in _distance_blocks(points, centers, out):
-        pass
-    return out
+    if centers.ndim != 2 or centers.shape[0] < 1:
+        raise ValueError("centers must be a non-empty (C, d) array")
+    labels = np.empty(dataset.n_pixels, dtype=np.intp)
+    mins = np.empty(dataset.n_pixels)
+    for start, block in _distance_blocks(dataset.pixels, centers):
+        stop = start + block.shape[1]
+        block.argmin(axis=0, out=labels[start:stop])
+        block.min(axis=0, out=mins[start:stop])
+    return labels, mins
 
 
 def min_squared_distances(dataset: PixelDataset, centers: np.ndarray) -> np.ndarray:
     """Squared distance from each pixel to its nearest center, shape (N,).
 
-    The row minima of ``squared_distances``, taken one (C, b) kernel block
-    at a time, so its memory is O(N); the one-set reference for
+    The row minima of ``squared_distances``, from the blocked nearest-center
+    pass, so its memory is O(N); the one-set reference for
     :func:`quantization_errors`.
     """
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[0] < 1:
-        raise ValueError("centers must be a non-empty (C, d) array")
-    blocks = _distance_blocks(dataset.pixels, centers)
-    return np.concatenate([block.min(axis=0) for _, block in blocks])
+    return _nearest(dataset, centers)[1]
 
 
 def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.ndarray:
@@ -337,6 +333,9 @@ def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.nd
     cols = dataset.pixels.T
     if len(cols) != d:
         raise ValueError(f"centers are {d} wide but the pixels have {len(cols)} channels")
+    # once per call: a check per group of sets slows the swarm's fitness
+    if not np.all(np.isfinite(sets)):
+        raise ValueError("centers must be finite")
     n = dataset.n_pixels
     per_sweep = min(p, CENTER_SETS_PER_SWEEP)
     errors = np.empty(p)
@@ -361,13 +360,9 @@ def assign_nearest(dataset: PixelDataset, centers: np.ndarray) -> np.ndarray:
     """Label each pixel with the index of its nearest center.
 
     Ties go to the lowest cluster index, which makes the result independent
-    of any evaluation order.
+    of any evaluation order. Memory is O(N): the labels come from ``_nearest``.
     """
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[0] < 1:
-        raise ValueError("centers must be a non-empty (C, d) array")
-    d2 = squared_distances(dataset.pixels, centers)
-    return np.argmin(d2, axis=1)
+    return _nearest(dataset, centers)[0]
 
 
 def sample_distinct_pixels(

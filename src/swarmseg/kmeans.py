@@ -3,6 +3,7 @@
 Deliberately plain: distinct-pixel random initialization, alternating
 nearest-center assignment and mean updates, stop when labels settle. No
 k-means++ or acceleration tricks, so results reflect the textbook algorithm.
+Assignment is ``core``'s blocked nearest-center pass: no (N, C) distances.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from .core import (
     ClusterConfig,
     DegenerateClusteringError,
     PixelDataset,
+    _nearest,
     reseed_farthest,
     sample_distinct_pixels,
-    squared_distances,
     validate_config,
 )
 
@@ -55,9 +56,7 @@ def run_kmeans(dataset: PixelDataset, config: ClusterConfig) -> KmeansResult:
     consecutive_empty = 0
 
     for iteration in range(_MAX_ITERS + 1):
-        d2 = squared_distances(dataset.pixels, centers)
-        labels = np.argmin(d2, axis=1)
-        dist_to_assigned = d2[np.arange(dataset.n_pixels), labels]
+        labels, dist_to_assigned = _nearest(dataset, centers)
         trajectory.append(float(np.sum(dist_to_assigned)))
         # at the cap the labels are already aligned with the returned centers
         if iteration == _MAX_ITERS:

@@ -222,6 +222,14 @@ def test_bench_requires_report_and_seeds(tmp_path):
         )
         == 2
     )
+    # a seed past 2**64 - 1 is a usage error before any seed runs
+    report = tmp_path / "r.json"
+    for seeds in (
+        ["--seeds", f"0,{2**64}"],
+        ["--seed", str(2**64 - 1), "--seed-count", "2"],
+    ):
+        assert run_cli(["bench", str(src), *seeds, "--report", str(report), *FAST]) == 2
+        assert not report.exists()
 
 
 def test_bench_single_seed_matches_compare(tmp_path):

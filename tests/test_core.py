@@ -12,7 +12,6 @@ from swarmseg.core import (
     TooManyClustersError,
     _count_distinct,
     assign_nearest,
-    channel_major_distances,
     min_squared_distances,
     quantization_errors,
     sample_distinct_pixels,
@@ -188,18 +187,6 @@ def test_count_distinct_matches_unique(palette, limit):
             assert validate_config(ClusterConfig(cluster_count=limit), ds) is not None
 
 
-@pytest.mark.parametrize("n", [1, PIXEL_BLOCK - 1, PIXEL_BLOCK, PIXEL_BLOCK + 1, 2 * PIXEL_BLOCK + 37])
-def test_channel_major_distances_are_the_transpose(n):
-    rng = np.random.default_rng(n)
-    px = rng.uniform(0, 255, (n, 3))
-    centers = rng.uniform(0, 255, (4, 3))
-    want = squared_distances(px, centers).T
-    assert np.array_equal(channel_major_distances(px, centers), want)
-    out = np.full((4, n), np.nan)
-    assert channel_major_distances(px, centers, out) is out
-    assert np.array_equal(out, want)
-
-
 def test_squared_distances_are_c_ordered():
     # numpy's reductions downstream follow the memory layout, so the (N, C)
     # result must not be the transposed view of a (C, N) array
@@ -213,7 +200,6 @@ def test_squared_distances_are_c_ordered():
 
 CENTER_ENTRY_POINTS = {
     "squared_distances": lambda ds, centers: squared_distances(ds.pixels, centers),
-    "channel_major_distances": lambda ds, centers: channel_major_distances(ds.pixels, centers),
     "min_squared_distances": min_squared_distances,
     "assign_nearest": assign_nearest,
     "quantization_errors": lambda ds, centers: quantization_errors(ds, centers[None]),
@@ -231,6 +217,17 @@ def test_center_width_must_match_channels(entry, width):
     centers = rng.uniform(0, 255, (3, width))
     message = rf"centers are {width} wide but the pixels have 3 channels"
     with pytest.raises(ValueError, match=message):
+        CENTER_ENTRY_POINTS[entry](ds, centers)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(CENTER_ENTRY_POINTS))
+def test_centers_must_be_finite(entry, bad):
+    rng = np.random.default_rng(4)
+    ds = PixelDataset(pixels=rng.uniform(0, 255, (50, 3)), width=50, height=1)
+    centers = rng.uniform(0, 255, (3, 3))
+    centers[1, 2] = bad
+    with pytest.raises(ValueError, match="centers must be finite"):
         CENTER_ENTRY_POINTS[entry](ds, centers)
 
 
@@ -275,9 +272,14 @@ def test_min_squared_distances_matches_reference_bitwise():
         px = rng.uniform(0, 255, (n, d))
         ds = PixelDataset(pixels=px, width=n, height=1)
         centers = rng.uniform(0, 255, (c, d))
+        if n % 2 or n >= PIXEL_BLOCK - 1:
+            # a repeated row ties with its original: the lower index must win
+            copy = centers[rng.integers(c)]
+            centers = np.insert(centers, rng.integers(c + 1), copy, axis=0)
         reference = per_center_squared_distances(ds.pixels, centers)
         assert np.array_equal(squared_distances(ds.pixels, centers), reference)
         assert np.array_equal(min_squared_distances(ds, centers), reference.min(axis=1))
+        assert np.array_equal(assign_nearest(ds, centers), reference.argmin(axis=1))
 
 
 def test_assign_nearest_basic_and_tie_break():

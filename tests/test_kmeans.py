@@ -1,5 +1,7 @@
 """Lloyd's k-means baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from swarmseg.core import (
     ClusterConfig,
     PixelDataset,
     TooManyClustersError,
+    assign_nearest,
     sample_distinct_pixels,
     squared_distances,
 )
@@ -157,3 +160,29 @@ def test_iteration_cap_returns_labels_of_returned_centers(monkeypatch, cap):
     d2 = squared_distances(ds.pixels, result.centers)
     assert np.array_equal(result.labels, np.argmin(d2, axis=1))
     assert result.sse_trajectory[-1] == float(np.sum(d2.min(axis=1)))
+
+
+def test_run_kmeans_and_assign_nearest_hold_no_pixel_by_cluster_array(monkeypatch):
+    # at C = 9 one (N, C) float64 array (18.9 MB) dwarfs what a Lloyd step
+    # must hold: the labels, the previous labels and one cluster's members.
+    # Every step holds the same, so a few of them show the peak.
+    monkeypatch.setattr("swarmseg.kmeans._MAX_ITERS", 4)
+    rng = np.random.default_rng(5)
+    c, n = 9, 512 * 512
+    levels = rng.uniform(30, 225, (c, 3))
+    px = np.round(levels[np.arange(n) % c] + rng.normal(0, 12, (n, 3)))
+    ds = PixelDataset(pixels=np.clip(px, 0, 255).astype(np.uint8), width=512, height=512)
+    one_array = n * c * 8
+    tracemalloc.start()
+    try:
+        result = run_kmeans(ds, ClusterConfig(cluster_count=c))
+        kmeans_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        assign_nearest(ds, result.centers)
+        assign_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert result.iterations >= 2
+    assert kmeans_peak < one_array, kmeans_peak
+    assert assign_peak < one_array, assign_peak
