@@ -5,18 +5,28 @@ repeat runs write byte-identical images and reports (wall-clock fields
 aside). Normal operation writes files only; all diagnostics go to stderr.
 Exit codes: 0 success, 1 runtime failure (IO, malformed image, degenerate
 clustering), 2 usage error.
+
+``segment`` runs its one engine in-process. ``compare`` and ``bench`` run
+their engines in up to one spawned worker process per usable CPU (one
+pool per invocation) and build every image and report in the parent from
+the results in ``ALGORITHMS`` order, so outputs do not depend on the
+worker count. With one usable CPU they run in-process too.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 from .core import ClusterConfig, PixelDataset
 from .imaging import load_ppm, reconstruct_quantized, to_dataset, write_ppm
-from .pipeline import ALGORITHMS, run_algorithm
+from .pipeline import ALGORITHMS, SegmentationResult, run_algorithm
 from .report import aggregate_reports, build_report, dump_json, report_to_json
 from .swarm import SwarmConfig
 
@@ -169,28 +179,67 @@ def cmd_segment(args, parser) -> int:
     return 0
 
 
-def _compare_once(
-    dataset: PixelDataset,
-    config: ClusterConfig,
-    sconfig: SwarmConfig,
-    image_name: str,
-    fuzzifier: float,
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_engine(task: tuple) -> SegmentationResult:
+    """Run one ``(name, dataset, config, sconfig)`` task.
+
+    Module-level, so a worker process can unpickle it by name; it calls
+    this module's ``run_algorithm`` binding when run in-process.
+    """
+    return run_algorithm(*task)
+
+
+@contextmanager
+def _engine_results(tasks: list[tuple]) -> Iterator[Iterator[SegmentationResult]]:
+    """An iterator over the results of ``_run_engine`` on every task, in task order.
+
+    The tasks run in up to one spawned worker per usable CPU; with one
+    worker they run here, one after another, as the iterator advances. A
+    task's exception is raised when its result is read, so the first
+    failing task's in task order reaches the caller, as in-process. No
+    worker outlives the ``with`` block.
+    """
+    workers = min(_usable_cpus(), len(tasks))
+    if workers <= 1:
+        yield map(_run_engine, tasks)
+        return
+    # imported only when a pool starts: segment and one-CPU runs skip the cost
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        yield pool.map(_run_engine, tasks)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _engine_tasks(
+    dataset: PixelDataset, config: ClusterConfig, sconfig: SwarmConfig
+) -> list[tuple]:
+    return [(name, dataset, config, sconfig) for name in ALGORITHMS]
+
+
+def _compare_report(
+    dataset: PixelDataset, results: list, image_name: str, fuzzifier: float
 ):
-    results = [
-        run_algorithm(name, dataset, config, sconfig) for name in ALGORITHMS
-    ]
-    report = build_report(
+    return build_report(
         dataset, results, COMPARE_PAIRINGS, image=image_name, fuzzifier=fuzzifier
     )
-    return results, report
 
 
 def cmd_compare(args, parser) -> int:
     config, sconfig = _build_configs(args, parser)
     dataset = _load_dataset(args.input, args.max_side)
-    results, report = _compare_once(
-        dataset, config, sconfig, str(args.input), args.fuzzifier
-    )
+    with _engine_results(_engine_tasks(dataset, config, sconfig)) as results:
+        results = list(results)
+    report = _compare_report(dataset, results, str(args.input), args.fuzzifier)
     args.outdir.mkdir(parents=True, exist_ok=True)
     for result in results:
         quantized = reconstruct_quantized(dataset, result.labels, result.centers)
@@ -218,16 +267,26 @@ def cmd_bench(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
+    datasets = [_load_dataset(path, args.max_side) for path in args.inputs]
+    tasks = [
+        task
+        for dataset in datasets
+        for seed_config in configs
+        for task in _engine_tasks(dataset, seed_config, sconfig)
+    ]
+    # reports are built as results arrive, so no more results are held than
+    # the workers have finished ahead of the one awaited
     benchmarks = []
-    for input_path in args.inputs:
-        dataset = _load_dataset(input_path, args.max_side)
-        reports = []
-        for seed_config in configs:
-            _, report = _compare_once(
-                dataset, seed_config, sconfig, str(input_path), args.fuzzifier
-            )
-            reports.append(report)
-        benchmarks.append(aggregate_reports(reports))
+    with _engine_results(tasks) as results:
+        for input_path, dataset in zip(args.inputs, datasets):
+            reports = [
+                _compare_report(
+                    dataset, list(islice(results, len(ALGORITHMS))),
+                    str(input_path), args.fuzzifier,
+                )
+                for _ in configs
+            ]
+            benchmarks.append(aggregate_reports(reports))
 
     args.report.parent.mkdir(parents=True, exist_ok=True)
     args.report.write_text(dump_json({"benchmarks": benchmarks}))

@@ -63,6 +63,10 @@ class DeadClusterError(RuntimeError):
         super().__init__(f"clusters with zero total weight: {dead}")
         self.dead = dead
 
+    def __reduce__(self):
+        # rebuilt from ``dead``, not from the message ``args`` holds
+        return type(self), (self.dead,), self.__dict__
+
 
 class DegenerateClusteringError(RuntimeError):
     """Dead-cluster recovery kept failing; the instance cannot support C clusters."""
@@ -112,6 +116,10 @@ class PixelDataset:
             )
         cols.setflags(write=False)
         object.__setattr__(self, "pixels", cols.T)
+
+    def __reduce__(self):
+        # a copy unpickled in a worker process is checked and read-only too
+        return type(self), (self.pixels, self.width, self.height)
 
     @property
     def n_pixels(self) -> int:
@@ -178,7 +186,13 @@ def _count_distinct(pixels: np.ndarray, limit: int) -> int:
     none taken so far; every row before a taken one equals an earlier taken
     row, so each pass scans only the rows after it. That costs one
     vectorised pass per value counted. Both are exact below ``limit``.
+
+    The first ``PIXEL_BLOCK`` rows are counted first: a prefix holds no
+    more distinct rows than the whole, so if they reach ``limit`` so does
+    the whole, and the rest is never read.
     """
+    if pixels.shape[0] > PIXEL_BLOCK and _count_distinct(pixels[:PIXEL_BLOCK], limit) == limit:
+        return limit
     codes = _packed_levels(pixels)
     if codes is not None:
         codes.sort()

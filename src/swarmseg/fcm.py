@@ -11,9 +11,10 @@ channel-major (C, b) block of the distance kernel, one contiguous row per
 cluster, becomes memberships, weights u**m and its share of J_m and of the
 center sums before the next block is read, so the loop holds no array of
 N·C values. Minima, ``any`` and ``argmax`` across clusters are exact in any
-order, so they are numpy's own. Each sum replays the order in which numpy
-sums the whole (N, C) arrays (``_cluster_sums``, ``_StreamedSum``,
-``_CenterSums``), so the blocks give the same bits.
+order, so they are numpy's own or (the labels) an equal running maximum.
+Each sum replays the order in which numpy sums the whole (N, C) arrays
+(``_cluster_sums``, ``_StreamedSum``, ``_CenterSums``), so the blocks give
+the same bits.
 """
 
 from __future__ import annotations
@@ -331,6 +332,28 @@ class _Sweep:
             _membership_block(d2, self.fuzzifier, u)
             yield start, d2, u
 
+    def labels(self, centers: np.ndarray) -> np.ndarray:
+        """Each pixel's cluster of largest membership at ``centers``, lowest index on ties.
+
+        ``np.argmax`` over each block's rows, computed as a strict ``>``
+        chain: a label moves to row j only where row j exceeds the running
+        maximum. Memberships are finite, so ties keep the lowest index as
+        ``argmax`` does.
+        """
+        labels = np.empty(self.dataset.n_pixels, dtype=np.intp)
+        best = np.empty(self.u.shape[1])
+        larger = np.empty(self.u.shape[1], dtype=bool)
+        for start, _, u in self.memberships(centers):
+            b = u.shape[1]
+            out, top, gt = labels[start : start + b], best[:b], larger[:b]
+            out.fill(0)
+            np.copyto(top, u[0])
+            for j in range(1, len(u)):
+                np.greater(u[j], top, out=gt)
+                np.copyto(out, j, where=gt)
+                np.maximum(top, u[j], out=top)
+        return labels
+
     def objective(self, centers: np.ndarray, sums: _CenterSums | None = None) -> float:
         """J_m at ``centers``; the weights u**m are also fed to ``sums`` when given.
 
@@ -411,9 +434,7 @@ def run_fcm(
         else:
             consecutive_dead = 0
 
-    labels = np.empty(dataset.n_pixels, dtype=np.intp)
-    for start, _, u in sweep.memberships(centers):
-        labels[start : start + u.shape[1]] = np.argmax(u, axis=0)
+    labels = sweep.labels(centers)
     centers = np.clip(centers, 0.0, 255.0)
     return FcmResult(
         centers=centers,

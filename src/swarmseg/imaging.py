@@ -182,7 +182,7 @@ def reconstruct_quantized(
         raise ValueError("labels reference clusters outside the center set")
 
     palette = np.clip(np.floor(centers + 0.5), 0, 255).astype(np.uint8)
-    flat = palette[labels]
+    flat = np.take(palette, labels, axis=0)
     return RawImage(
         width=dataset.width, height=dataset.height, rgb8=flat.tobytes()
     )

@@ -1,0 +1,130 @@
+"""compare and bench in worker processes: same outputs, same errors, nothing left running."""
+
+import importlib
+import inspect
+import multiprocessing
+import pickle
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import swarmseg
+from swarmseg import cli
+from swarmseg.core import DeadClusterError
+from swarmseg.imaging import write_ppm
+from swarmseg.synthetic import gaussian_blob_image
+
+from test_cli import (
+    FAST,
+    read_report,
+    run_cli,
+    strip_wall_times,
+    write_blob_image,
+    write_block_image,
+)
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+
+
+def write_second_blob_image(path):
+    image = gaussian_blob_image(
+        [(220.0, 220.0, 40.0), (40.0, 120.0, 220.0), (90.0, 90.0, 90.0)],
+        width=12, height=10, sigma=10.0, seed=1,
+    )
+    path.write_bytes(write_ppm(image))
+
+
+def run_compare_and_bench(outdir, first, second):
+    out = outdir / "out"
+    assert run_cli(["compare", str(first), str(out), "--clusters", "3", *FAST]) == 0
+    bench = outdir / "bench.json"
+    argv = ["bench", str(first), str(second), "--seeds", "3,4", "--clusters", "3",
+            "--report", str(bench), *FAST]
+    assert run_cli(argv) == 0
+    images = {a: (out / f"{a}.ppm").read_bytes() for a in swarmseg.ALGORITHMS}
+    report = strip_wall_times(read_report(out / "report.json"))
+    return images, report, bench.read_bytes()
+
+
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    first, second = tmp_path / "first.ppm", tmp_path / "second.ppm"
+    write_blob_image(first)
+    write_second_blob_image(second)
+    outputs = []
+    for count in (1, 2):
+        use_cpus(monkeypatch, count)
+        outputs.append(run_compare_and_bench(tmp_path / f"cpus{count}", first, second))
+    assert outputs[0] == outputs[1]
+    # bench aggregates carry no wall-clock field, so they match byte for byte
+    assert b"wall_time" not in outputs[0][2]
+
+
+def test_engine_error_exits_1_with_the_same_message(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "in.ppm"
+    write_block_image(src, colors=((250, 10, 10), (10, 250, 10)))
+    stderr = []
+    for count in (1, 2):
+        use_cpus(monkeypatch, count)
+        out = tmp_path / f"out{count}"
+        assert run_cli(["compare", str(src), str(out), "--clusters", "3", *FAST]) == 1
+        assert not (out / "report.json").exists()
+        stderr.append(capsys.readouterr().err)
+    assert stderr[0] == stderr[1]
+    assert "only 2 distinct pixel values" in stderr[0]
+
+
+def test_no_worker_outlives_main(tmp_path, monkeypatch):
+    src, flat = tmp_path / "in.ppm", tmp_path / "flat.ppm"
+    write_blob_image(src)
+    write_block_image(flat)
+    use_cpus(monkeypatch, 2)
+    assert run_cli(["compare", str(src), str(tmp_path / "out"), "--clusters", "3", *FAST]) == 0
+    assert multiprocessing.active_children() == []
+    # exact block colors give zero objectives: the parent's report fails
+    # while later seeds may still be running in the workers
+    argv = ["bench", str(flat), "--seeds", "0,1,2", "--clusters", "3",
+            "--report", str(tmp_path / "bench.json"), *FAST]
+    assert run_cli(argv) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_starts_no_pool_machinery():
+    code = (
+        "import sys, swarmseg.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def package_exceptions():
+    found = []
+    for info in pkgutil.iter_modules(swarmseg.__path__):
+        module = importlib.import_module(f"swarmseg.{info.name}")
+        for _, obj in inspect.getmembers(module, inspect.isclass):
+            if issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                found.append(obj)
+    return found
+
+
+@pytest.mark.parametrize("cls", package_exceptions(), ids=lambda cls: cls.__name__)
+def test_exceptions_survive_pickling(cls):
+    # errors raised in a worker reach the parent by pickle
+    exc = cls([1, 2]) if cls is DeadClusterError else cls("requested 3 clusters")
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is cls
+    assert str(copy) == str(exc)
+    assert copy.args == exc.args
+    assert vars(copy) == vars(exc)
+
+
+def test_dead_cluster_error_keeps_its_message_and_clusters():
+    copy = pickle.loads(pickle.dumps(DeadClusterError([1, 2])))
+    assert str(copy) == "clusters with zero total weight: [1, 2]"
+    assert copy.dead == [1, 2]

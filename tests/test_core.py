@@ -1,5 +1,7 @@
 """Domain type validation and distance/assignment primitives."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,18 @@ def test_pixels_are_one_channel_major_copy():
     assert not cols.flags.writeable
     assert ds.pixels.base.flags.owndata and ds.pixels.base.nbytes == 30 * 3 * 8
     assert np.array_equal(ds.pixels, px)
+
+
+def test_dataset_pickles_to_a_checked_read_only_copy():
+    # worker processes receive datasets by pickle: the copy keeps the
+    # channel-major layout, the values and the read-only flag
+    rng = np.random.default_rng(6)
+    ds = PixelDataset(pixels=rng.uniform(0, 255, (12, 3)), width=4, height=3)
+    copy = pickle.loads(pickle.dumps(ds))
+    assert (copy.width, copy.height) == (4, 3)
+    assert copy.pixels.T.flags.c_contiguous
+    assert not copy.pixels.flags.writeable
+    assert copy.pixels.tobytes() == ds.pixels.tobytes()
 
 
 def test_dataset_leaves_the_callers_array_writable():
@@ -185,6 +199,22 @@ def test_count_distinct_matches_unique(palette, limit):
                 validate_config(ClusterConfig(cluster_count=limit), ds)
         else:
             assert validate_config(ClusterConfig(cluster_count=limit), ds) is not None
+
+
+@pytest.mark.parametrize("integer", [True, False])
+def test_count_distinct_reads_past_a_short_prefix(integer):
+    # the first PIXEL_BLOCK rows hold 2 distinct values, the rest 5 more:
+    # the early stop must not cap the count at the prefix's
+    rng = np.random.default_rng(7)
+    head = np.repeat([[10.0, 20.0, 30.0], [40.0, 50.0, 60.0]], PIXEL_BLOCK // 2, axis=0)
+    tail = rng.permutation(np.arange(500) % 5)[:, None] * np.array([[1.0, 2.0, 3.0]]) + 100.0
+    pixels = np.vstack((head, tail))
+    if not integer:
+        pixels = pixels + 0.5
+    for limit in (2, 3, 7, 8):
+        assert _count_distinct(pixels, limit) == min(7, limit)
+    # a prefix that already reaches the limit stops the count
+    assert _count_distinct(np.vstack((tail, head)), 5) == 5
 
 
 def test_squared_distances_are_c_ordered():

@@ -16,6 +16,7 @@ from swarmseg import fcm
 from swarmseg.fcm import (
     _CenterSums,
     _StreamedSum,
+    _Sweep,
     _cluster_sums,
     _reseed_dead,
     _update_centers_partial,
@@ -416,3 +417,27 @@ def test_center_sums_match_numpy_axis0_sums(n):
             acc.feed(weights[:, start : start + 5000], ds.pixels.T[:, start : start + 5000])
         got, dead = acc.centers()
         assert dead == [] and np.array_equal(got, want), d
+
+
+@pytest.mark.parametrize("clusters", [1, 2, 3, 5])
+def test_labels_match_argmax_with_exact_ties(clusters):
+    # duplicate centers give rows with equal memberships, and pixels half
+    # way between two centers equal memberships in two rows: ties go to the
+    # lowest index, as with np.argmax over the same blocks
+    rng = np.random.default_rng(clusters)
+    base = np.array([[40.0, 40.0, 40.0], [200.0, 200.0, 200.0], [40.0, 200.0, 120.0]])
+    centers = base[np.arange(clusters) // 2 % 3]
+    n = PIXEL_BLOCK + 300
+    pixels = rng.uniform(0, 255, (n, 3))
+    pixels[::3] = (base[0] + base[1]) / 2
+    pixels[1::7] = centers[-1]
+    ds = PixelDataset(pixels=pixels, width=n, height=1)
+    sweep = _Sweep(ds, clusters, 2.0)
+    want = np.concatenate(
+        [np.argmax(u, axis=0) for _, _, u in sweep.memberships(centers)]
+    )
+    labels = sweep.labels(centers)
+    assert labels.dtype == np.intp
+    assert np.array_equal(labels, want)
+    if clusters > 1:
+        assert len(np.unique(labels)) < clusters  # the duplicates' higher rows never win
