@@ -4,7 +4,7 @@ Every invocation is a pure function of its flags, input bytes, and seed:
 repeat runs write byte-identical images and reports (wall-clock fields
 aside). Normal operation writes files only; all diagnostics go to stderr.
 Exit codes: 0 success, 1 runtime failure (IO, malformed image, degenerate
-clustering), 2 usage error.
+clustering, out of memory), 2 usage error.
 
 ``segment`` runs its one engine in-process. ``compare`` and ``bench`` run
 their engines in up to one spawned worker process per usable CPU (one
@@ -300,6 +300,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, parser)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"swarmseg: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError says nothing
+        detail = f": {exc}" if str(exc) else ""
+        print(f"swarmseg: error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -20,6 +20,16 @@ those rows, and its distances come out as (C, B), one contiguous row per
 center. ``squared_distances`` transposes them into the public (N, C)
 layout. FCM's alternation and the nearest-center pass (``_nearest``) take
 them one (C, B) block at a time and hold no (N, C) array.
+
+The swarm's fitness, ``quantization_errors``, is a bounded nearest-center
+pass: with more than one block, it scores in each block only the centers
+that can be nearest to one of its pixels. A center is skipped when its
+squared distance to the block's bounding box exceeds the smallest squared
+distance from any center of its set to the box's farthest corner.
+Both bounds are accumulated as the kernel accumulates its distances, and
+rounding is monotone, so a skipped center is strictly farther than a kept
+one from every pixel of the block: each minimum, and so each set's sum,
+keeps its bits.
 """
 
 from __future__ import annotations
@@ -329,6 +339,45 @@ def min_squared_distances(dataset: PixelDataset, centers: np.ndarray) -> np.ndar
     return _nearest(dataset, centers)[1]
 
 
+def _kept_rows(cols: np.ndarray, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which center rows can be nearest to some pixel of each block.
+
+    ``cols`` is the (d, N) channel-major pixels and ``sets`` the (P, C, d)
+    center sets. Per block of ``PIXEL_BLOCK`` pixels and per set, a center's
+    lower bound is its squared distance to the block's bounding box and its
+    upper bound its squared distance to the box's farthest corner, both
+    accumulated channel by channel in the kernel's order. Rounding is
+    monotone and every term is non-negative, so the kernel's distance from
+    any pixel of the block lies between the two bounds as computed. A center
+    whose lower bound exceeds ``1 + 1e-9`` times the set's smallest upper
+    bound is strictly farther than that set's closest-corner center from
+    every pixel of the block, so it never supplies a minimum.
+
+    Returns ``(index, count)``: ``count[p, j]`` is the number of rows of set
+    p kept in block j, (P, nb); ``index[p, :, j]`` lists the kept rows of
+    set p in center order, then repeats the first kept row, (P, C, nb).
+    """
+    starts = np.arange(0, cols.shape[1], PIXEL_BLOCK)
+    lo = np.minimum.reduceat(cols, starts, axis=1)
+    hi = np.maximum.reduceat(cols, starts, axis=1)
+    lower = upper = 0.0
+    for k in range(cols.shape[0]):
+        center = sets[:, :, k, None]
+        gap = np.maximum(lo[k] - center, center - hi[k])
+        np.maximum(gap, 0.0, out=gap)
+        far = np.maximum(center - lo[k], hi[k] - center)
+        lower = lower + gap * gap
+        upper = upper + far * far
+    keep = lower <= upper.min(axis=1, keepdims=True) * (1.0 + 1e-9)
+    count = np.count_nonzero(keep, axis=1)
+    # kept rows first, each part in center order; then pad with the first
+    index = np.argsort(~keep, axis=1, kind="stable")
+    c = sets.shape[1]
+    pad = np.arange(c)[:, None] >= count[:, None, :]
+    index = np.where(pad, index[:, :1], index)
+    return index, count
+
+
 def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.ndarray:
     """Quantization error of each of P center sets given as (P, C, d), shape (P,).
 
@@ -339,6 +388,14 @@ def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.nd
     at a time per sweep over blocks of the channel-major ``pixels.T``. The
     kernel's scratch is allocated once per call, since fresh blocks of that
     size cost a page fault per page.
+
+    With more than one block, each block scores only the center rows that
+    can be nearest to one of its pixels (``_kept_rows``). A dropped row is
+    strictly farther than a kept one from every pixel of the block, so no
+    minimum changes. Within a group, each set's kept rows are padded to
+    the group's largest count with a repeat of its first kept row, which
+    cannot change a minimum either. A group that keeps every row in a
+    block is scored from its own rows, with no gather.
     """
     sets = np.asarray(center_sets, dtype=np.float64)
     if sets.ndim != 3 or sets.shape[1] < 1:
@@ -355,16 +412,30 @@ def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.nd
     errors = np.empty(p)
     mins = np.empty((per_sweep, n))
     work = _aligned_empty((2, per_sweep * c, min(n, PIXEL_BLOCK)))
-    for first in range(0, p, CENTER_SETS_PER_SWEEP):
-        group = sets[first : first + CENTER_SETS_PER_SWEEP]
-        k, rows = len(group), len(group) * c
-        centers = group.reshape(rows, d)
-        for start in range(0, n, PIXEL_BLOCK):
+    flat = sets.reshape(p * c, d)
+    # a lone block's box is the whole image's, which holds the centers the
+    # swarm starts from, so the bound would keep nearly every row there
+    count = np.full((p, 1), c)
+    if n > PIXEL_BLOCK:
+        index, count = _kept_rows(cols, sets)
+        index += (np.arange(p) * c)[:, None, None]
+    firsts = range(0, p, CENTER_SETS_PER_SWEEP)
+    # per group and block: the fewest and the most rows a set keeps
+    fewest = np.minimum.reduceat(count, firsts, axis=0).tolist()
+    most = np.maximum.reduceat(count, firsts, axis=0).tolist()
+    for g, first in enumerate(firsts):
+        k = min(p - first, CENTER_SETS_PER_SWEEP)
+        for j, start in enumerate(range(0, n, PIXEL_BLOCK)):
             b = min(n - start, PIXEL_BLOCK)
+            m = most[g][j]
+            if fewest[g][j] == c:
+                centers = flat[first * c : (first + k) * c]
+            else:
+                centers = flat[index[first : first + k, :m, j].ravel()]
             block = _block_squared_distances(
-                cols[:, start : start + b], centers, work[0, :rows, :b], work[1, :rows, :b]
+                cols[:, start : start + b], centers, work[0, : k * m, :b], work[1, : k * m, :b]
             )
-            np.min(block.reshape(k, c, b), axis=1, out=mins[:k, start : start + b])
+            np.min(block.reshape(k, m, b), axis=1, out=mins[:k, start : start + b])
         for s in range(k):
             errors[first + s] = np.sum(mins[s])
     return errors

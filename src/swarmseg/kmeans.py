@@ -66,14 +66,20 @@ def run_kmeans(dataset: PixelDataset, config: ClusterConfig) -> KmeansResult:
             break
         prev_labels = labels
 
-        new_centers = np.empty_like(centers)
-        empty: list[int] = []
-        for j in range(c):
-            members = dataset.pixels[labels == j]
-            if members.shape[0] == 0:
-                empty.append(j)
-            else:
-                new_centers[j] = members.mean(axis=0)
+        counts = np.bincount(labels, minlength=c)
+        empty = np.flatnonzero(counts == 0).tolist()
+        new_centers = np.zeros_like(centers)
+        if dataset.n_channels == 1:
+            # a one-channel mean sums pairwise, so only the masked mean matches it
+            for j in np.flatnonzero(counts):
+                new_centers[j] = dataset.pixels[labels == j].mean(axis=0)
+        else:
+            # a mean over rows sums them in order, as bincount does
+            sums = np.stack(
+                [np.bincount(labels, weights=channel, minlength=c) for channel in dataset.pixels.T],
+                axis=1,
+            )
+            np.divide(sums, counts[:, None], out=new_centers, where=counts[:, None] > 0)
         if empty:
             consecutive_empty += 1
             if consecutive_empty > c:

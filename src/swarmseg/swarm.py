@@ -13,9 +13,12 @@ center (the quantization error of that center set). The swarm is held as
 personal-best fitness, and one step advances every row at once. One
 ``swarm_fitness`` call per step scores the whole swarm: it sweeps the
 dataset's stored channel-major pixels (``pixels.T``, no copy) a few
-particles at a time and matches ``particle_fitness`` row by row bit for
-bit. The swarm stops when the relative fitness variance collapses or the
-iteration budget runs out.
+particles at a time, and in each pixel block scores only the centers
+that its bounding box allows to be nearest to some pixel there
+(``quantization_errors``). A skipped center is strictly farther than a
+kept one from every pixel of the block, so the fitness matches
+``particle_fitness`` row by row bit for bit. The swarm stops when the
+relative fitness variance collapses or the iteration budget runs out.
 
 Determinism contract: one seeded generator drives the whole run, consumed
 in a fixed order: the particles are initialized one by one, then each step

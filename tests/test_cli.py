@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from swarmseg import cli
 from swarmseg.cli import main
 from swarmseg.imaging import load_ppm, write_ppm
 from swarmseg.synthetic import gaussian_blob_image, solid_block_image
@@ -177,6 +178,23 @@ def test_malformed_input_is_a_runtime_error(tmp_path, capsys):
     code = run_cli(["segment", str(src), str(tmp_path / "o.ppm")])
     assert code == 1
     assert "swarmseg: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 12.0 GiB for an array"])
+@pytest.mark.parametrize("command", ["segment", "compare"])
+def test_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch, command, message):
+    def run_algorithm(*args, **kwargs):
+        raise MemoryError(message)
+
+    # one usable CPU: compare runs its engines in-process, where the patch applies
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "run_algorithm", run_algorithm)
+    src = tmp_path / "in.ppm"
+    write_block_image(src)
+    code = run_cli([command, str(src), str(tmp_path / "out"), "--clusters", "3", *FAST])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"swarmseg: error: out of memory{': ' + message if message else ''}\n"
 
 
 def test_compare_writes_all_algorithms_and_report(tmp_path):

@@ -186,3 +186,19 @@ def test_run_kmeans_and_assign_nearest_hold_no_pixel_by_cluster_array(monkeypatc
     assert result.iterations >= 2
     assert kmeans_peak < one_array, kmeans_peak
     assert assign_peak < one_array, assign_peak
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("integer", [True, False])
+def test_centers_are_the_masked_means_of_the_labels(d, integer):
+    # a converged run's centers were updated from its final labels
+    rng = np.random.default_rng(d)
+    n = 3000
+    px = rng.uniform(0, 255, (n, d))
+    if integer:
+        px = np.round(px)
+    ds = PixelDataset(pixels=px, width=n, height=1)
+    result = run_kmeans(ds, ClusterConfig(cluster_count=5, seed=1))
+    assert result.converged
+    means = np.stack([ds.pixels[result.labels == j].mean(axis=0) for j in range(5)])
+    assert np.array_equal(result.centers, means)

@@ -1,8 +1,11 @@
 """Particle swarm: fitness, statistics, adaptive coefficients, full loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from swarmseg import core, swarm
 from swarmseg.core import (
     PIXEL_BLOCK,
     ClusterConfig,
@@ -21,6 +24,8 @@ from swarmseg.swarm import (
     swarm_fitness,
     swarm_stats,
 )
+
+from test_core import banded_dataset, dense_errors
 
 
 class StubRng:
@@ -94,6 +99,31 @@ def test_swarm_fitness_matches_particle_fitness_bitwise(d):
         want = np.array([particle_fitness(ds, row) for row in position])
         assert np.array_equal(swarm_fitness(ds, position), want)
         assert np.array_equal(swarm_fitness(ds, position[:1]), want[:1])
+
+
+@pytest.mark.parametrize("schedule", [{}, CLASSIC_SCHEDULE], ids=["adaptive", "classic"])
+def test_run_swarm_on_pruned_blocks_matches_dense_fitness(monkeypatch, schedule):
+    ds = banded_dataset()
+    config = ClusterConfig(cluster_count=4, seed=7)
+    sconfig = replace(SwarmConfig(swarm_size=7, n_max=12, variance_tol=0.0), **schedule)
+    kept, inner = [], core._kept_rows
+
+    def kept_rows(cols, sets):
+        index, count = inner(cols, sets)
+        kept.append(count)
+        return index, count
+
+    monkeypatch.setattr(core, "_kept_rows", kept_rows)
+    centers, history = run_swarm(ds, config, sconfig)
+    assert any(np.any(count < 4) for count in kept)
+
+    def dense_fitness(dataset, position):
+        return dense_errors(dataset, position.reshape(len(position), -1, dataset.n_channels))
+
+    monkeypatch.setattr(swarm, "swarm_fitness", dense_fitness)
+    want_centers, want = run_swarm(ds, config, sconfig)
+    assert np.array_equal(history.gbest_fitness, want.gbest_fitness)
+    assert np.array_equal(centers, want_centers)
 
 
 def test_swarm_stats_oracle():
