@@ -7,10 +7,11 @@ Exit codes: 0 success, 1 runtime failure (IO, malformed image, degenerate
 clustering, out of memory), 2 usage error.
 
 ``segment`` runs its one engine in-process. ``compare`` and ``bench`` run
-their engines in up to one spawned worker process per usable CPU (one
-pool per invocation) and build every image and report in the parent from
-the results in ``ALGORITHMS`` order, so outputs do not depend on the
-worker count. With one usable CPU they run in-process too.
+their engines on one process per usable CPU: the parent plus W - 1
+spawned workers (one pool per invocation), where W is the smaller of the
+usable CPUs and the engine runs. The parent builds every image and report
+from the results in ``ALGORITHMS`` order, so outputs do not depend on the
+worker count. With one usable CPU they run in-process only.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import islice
@@ -195,13 +197,45 @@ def _run_engine(task: tuple) -> SegmentationResult:
     return run_algorithm(*task)
 
 
+def _run_here(task: tuple):
+    """A finished future holding ``_run_engine(task)`` run in this process, or its exception."""
+    from concurrent.futures import Future
+
+    future = Future()
+    try:
+        future.set_result(_run_engine(task))
+    except Exception as exc:  # raised again where its result is read
+        future.set_exception(exc)
+    return future
+
+
+def _in_task_order(tasks: list[tuple], futures: dict) -> Iterator[SegmentationResult]:
+    """The result of every task in task order; ``futures`` maps a worker's task index to its future.
+
+    The other tasks are the parent's. Whenever the next result is a
+    worker's and not done yet, the parent runs its next task rather than
+    wait, and holds the result until its turn. It runs none after one of
+    its tasks failed, since nothing past a failure is read.
+    """
+    own = deque(i for i in range(len(tasks)) if i not in futures)
+    failed = False
+    for i in range(len(tasks)):
+        while own and not failed and not (i in futures and futures[i].done()):
+            j = own.popleft()
+            futures[j] = _run_here(tasks[j])
+            failed = futures[j].exception() is not None
+        yield futures.pop(i).result()
+
+
 @contextmanager
 def _engine_results(tasks: list[tuple]) -> Iterator[Iterator[SegmentationResult]]:
     """An iterator over the results of ``_run_engine`` on every task, in task order.
 
-    The tasks run in up to one spawned worker per usable CPU; with one
-    worker they run here, one after another, as the iterator advances. A
-    task's exception is raised when its result is read, so the first
+    With W the smaller of the usable CPUs and the task count, W - 1
+    spawned workers take the tasks whose index i has ``i % W != W - 1``
+    and the parent runs the rest (``_in_task_order``); with W = 1 the
+    parent runs every task, one after another, as the iterator advances.
+    A task's exception is raised when its result is read, so the first
     failing task's in task order reaches the caller, as in-process. No
     worker outlives the ``with`` block.
     """
@@ -213,9 +247,14 @@ def _engine_results(tasks: list[tuple]) -> Iterator[Iterator[SegmentationResult]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    pool = ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("spawn"))
     try:
-        yield pool.map(_run_engine, tasks)
+        futures = {
+            i: pool.submit(_run_engine, task)
+            for i, task in enumerate(tasks)
+            if i % workers != workers - 1
+        }
+        yield _in_task_order(tasks, futures)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -275,7 +314,7 @@ def cmd_bench(args, parser) -> int:
         for task in _engine_tasks(dataset, seed_config, sconfig)
     ]
     # reports are built as results arrive, so no more results are held than
-    # the workers have finished ahead of the one awaited
+    # the workers and the parent have finished ahead of the one awaited
     benchmarks = []
     with _engine_results(tasks) as results:
         for input_path, dataset in zip(args.inputs, datasets):

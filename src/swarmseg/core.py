@@ -23,13 +23,15 @@ them one (C, B) block at a time and hold no (N, C) array.
 
 The swarm's fitness, ``quantization_errors``, is a bounded nearest-center
 pass: with more than one block, it scores in each block only the centers
-that can be nearest to one of its pixels. A center is skipped when its
-squared distance to the block's bounding box exceeds the smallest squared
-distance from any center of its set to the box's farthest corner.
+that can be nearest to one of its pixels. Each box of ``BOUND_BOX``
+pixels drops a center when its squared distance to the box exceeds the
+smallest squared distance from any center of its set to the box's
+farthest corner, and a block skips the centers all of its boxes drop.
 Both bounds are accumulated as the kernel accumulates its distances, and
 rounding is monotone, so a skipped center is strictly farther than a kept
-one from every pixel of the block: each minimum, and so each set's sum,
-keeps its bits.
+one from every pixel of the box: each minimum, and so each set's sum,
+keeps its bits. A swarm builds the scorer (``_Fitness``) once per run, so
+the boxes and the kernel's scratch are made once.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ PIXEL_BLOCK = 8192
 # Scoring the whole swarm in one sweep is slower: its work arrays leave
 # the cache.
 CENTER_SETS_PER_SWEEP = 2
+
+# Pixels per bounding box of the swarm fitness's bound (``_kept_rows``);
+# divides ``PIXEL_BLOCK``. Smaller boxes are tighter, and more of them cost
+# more bound arithmetic per call.
+BOUND_BOX = 256
 
 
 class InvalidFuzzifierError(ValueError):
@@ -339,36 +346,51 @@ def min_squared_distances(dataset: PixelDataset, centers: np.ndarray) -> np.ndar
     return _nearest(dataset, centers)[1]
 
 
-def _kept_rows(cols: np.ndarray, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _box_extents(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel minimum and maximum of each box of ``BOUND_BOX`` pixels: two (d, boxes) arrays."""
+    starts = np.arange(0, cols.shape[1], BOUND_BOX)
+    return np.minimum.reduceat(cols, starts, axis=1), np.maximum.reduceat(cols, starts, axis=1)
+
+
+def _kept_rows(
+    cols: np.ndarray,
+    sets: np.ndarray,
+    extents: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Which center rows can be nearest to some pixel of each block.
 
     ``cols`` is the (d, N) channel-major pixels and ``sets`` the (P, C, d)
-    center sets. Per block of ``PIXEL_BLOCK`` pixels and per set, a center's
-    lower bound is its squared distance to the block's bounding box and its
-    upper bound its squared distance to the box's farthest corner, both
-    accumulated channel by channel in the kernel's order. Rounding is
-    monotone and every term is non-negative, so the kernel's distance from
-    any pixel of the block lies between the two bounds as computed. A center
-    whose lower bound exceeds ``1 + 1e-9`` times the set's smallest upper
-    bound is strictly farther than that set's closest-corner center from
-    every pixel of the block, so it never supplies a minimum.
+    center sets; ``extents`` is ``_box_extents(cols)``, computed when not
+    given. Per box of ``BOUND_BOX`` pixels and per set, a center's lower
+    bound is its squared distance to the box and its upper bound its squared
+    distance to the box's farthest corner, both accumulated channel by
+    channel in the kernel's order. Rounding is monotone and every term is
+    non-negative, so the kernel's distance from any pixel of the box lies
+    between the two bounds as computed. A box drops a center whose lower
+    bound exceeds ``1 + 1e-9`` times the set's smallest upper bound: it is
+    strictly farther than that set's closest-corner center, which the box
+    keeps, from every pixel of the box. A block of ``PIXEL_BLOCK`` pixels
+    keeps the centers that at least one of its boxes keeps, so no pixel's
+    nearest center is dropped.
 
     Returns ``(index, count)``: ``count[p, j]`` is the number of rows of set
     p kept in block j, (P, nb); ``index[p, :, j]`` lists the kept rows of
     set p in center order, then repeats the first kept row, (P, C, nb).
     """
-    starts = np.arange(0, cols.shape[1], PIXEL_BLOCK)
-    lo = np.minimum.reduceat(cols, starts, axis=1)
-    hi = np.maximum.reduceat(cols, starts, axis=1)
+    lo, hi = _box_extents(cols) if extents is None else extents
     lower = upper = 0.0
     for k in range(cols.shape[0]):
         center = sets[:, :, k, None]
-        gap = np.maximum(lo[k] - center, center - hi[k])
+        below = lo[k] - center
+        above = center - hi[k]
+        gap = np.maximum(below, above)
         np.maximum(gap, 0.0, out=gap)
-        far = np.maximum(center - lo[k], hi[k] - center)
+        # the farthest corner is -min(below, above) away; negating is exact
+        far = np.minimum(below, above)
         lower = lower + gap * gap
         upper = upper + far * far
     keep = lower <= upper.min(axis=1, keepdims=True) * (1.0 + 1e-9)
+    keep = np.logical_or.reduceat(keep, range(0, lo.shape[1], PIXEL_BLOCK // BOUND_BOX), axis=2)
     count = np.count_nonzero(keep, axis=1)
     # kept rows first, each part in center order; then pad with the first
     index = np.argsort(~keep, axis=1, kind="stable")
@@ -378,6 +400,65 @@ def _kept_rows(cols: np.ndarray, sets: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return index, count
 
 
+class _Fitness:
+    """The swarm's fitness: the quantization errors of ``sets`` center sets of ``clusters`` rows.
+
+    Built once per swarm run and called once per step with a (sets,
+    clusters * d) position array, or anything of that size that reshapes
+    to (sets, clusters, d); returns (sets,) errors as ``quantization_errors``
+    defines them. What does not change between calls is made here: the
+    boxes' extents, since the pixels never change during a run, and the
+    kernel's scratch and the per-pixel minima, since fresh arrays of that
+    size cost a page fault per page. A call allocates no array of N values.
+    """
+
+    def __init__(self, dataset: PixelDataset, sets: int, clusters: int):
+        self._cols = dataset.pixels.T
+        self._shape = (sets, clusters, len(self._cols))
+        n = dataset.n_pixels
+        per_sweep = min(sets, CENTER_SETS_PER_SWEEP)
+        self._mins = np.empty((per_sweep, n))
+        self._work = _aligned_empty((2, per_sweep * clusters, min(n, PIXEL_BLOCK)))
+        # a lone block's box is the whole image's, which holds the centers the
+        # swarm starts from, so the bound would keep nearly every row there
+        self._extents = _box_extents(self._cols) if n > PIXEL_BLOCK else None
+
+    def __call__(self, center_sets: np.ndarray) -> np.ndarray:
+        sets = center_sets.reshape(self._shape)
+        # once per call: a check per group of sets slows the swarm's fitness
+        if not np.all(np.isfinite(sets)):
+            raise ValueError("centers must be finite")
+        p, c, d = self._shape
+        cols, mins, work = self._cols, self._mins, self._work
+        n = cols.shape[1]
+        count = np.full((p, 1), c)
+        if self._extents is not None:
+            index, count = _kept_rows(cols, sets, self._extents)
+            index += (np.arange(p) * c)[:, None, None]
+        firsts = range(0, p, CENTER_SETS_PER_SWEEP)
+        # per group and block: the fewest and the most rows a set keeps
+        fewest = np.minimum.reduceat(count, firsts, axis=0).tolist()
+        most = np.maximum.reduceat(count, firsts, axis=0).tolist()
+        flat = sets.reshape(p * c, d)
+        errors = np.empty(p)
+        for g, first in enumerate(firsts):
+            k = min(p - first, CENTER_SETS_PER_SWEEP)
+            for j, start in enumerate(range(0, n, PIXEL_BLOCK)):
+                b = min(n - start, PIXEL_BLOCK)
+                m = most[g][j]
+                if fewest[g][j] == c:
+                    centers = flat[first * c : (first + k) * c]
+                else:
+                    centers = flat[index[first : first + k, :m, j].ravel()]
+                block = _block_squared_distances(
+                    cols[:, start : start + b], centers, work[0, : k * m, :b], work[1, : k * m, :b]
+                )
+                np.min(block.reshape(k, m, b), axis=1, out=mins[:k, start : start + b])
+            # summed along a row, as one np.sum of that row would
+            np.sum(mins[:k], axis=1, out=errors[first : first + k])
+        return errors
+
+
 def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.ndarray:
     """Quantization error of each of P center sets given as (P, C, d), shape (P,).
 
@@ -385,9 +466,7 @@ def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.nd
     bit for bit: the distances come from the same kernel, the minimum is
     exact, and each set's error is one sum over its whole (N,) row of
     nearest-center distances. The sets are scored ``CENTER_SETS_PER_SWEEP``
-    at a time per sweep over blocks of the channel-major ``pixels.T``. The
-    kernel's scratch is allocated once per call, since fresh blocks of that
-    size cost a page fault per page.
+    at a time per sweep over blocks of the channel-major ``pixels.T``.
 
     With more than one block, each block scores only the center rows that
     can be nearest to one of its pixels (``_kept_rows``). A dropped row is
@@ -396,49 +475,17 @@ def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.nd
     the group's largest count with a repeat of its first kept row, which
     cannot change a minimum either. A group that keeps every row in a
     block is scored from its own rows, with no gather.
+
+    This is the one-shot form of ``_Fitness``, which a swarm builds once
+    and calls at every step.
     """
     sets = np.asarray(center_sets, dtype=np.float64)
     if sets.ndim != 3 or sets.shape[1] < 1:
         raise ValueError("center_sets must be a (P, C, d) array with C >= 1")
     p, c, d = sets.shape
-    cols = dataset.pixels.T
-    if len(cols) != d:
-        raise ValueError(f"centers are {d} wide but the pixels have {len(cols)} channels")
-    # once per call: a check per group of sets slows the swarm's fitness
-    if not np.all(np.isfinite(sets)):
-        raise ValueError("centers must be finite")
-    n = dataset.n_pixels
-    per_sweep = min(p, CENTER_SETS_PER_SWEEP)
-    errors = np.empty(p)
-    mins = np.empty((per_sweep, n))
-    work = _aligned_empty((2, per_sweep * c, min(n, PIXEL_BLOCK)))
-    flat = sets.reshape(p * c, d)
-    # a lone block's box is the whole image's, which holds the centers the
-    # swarm starts from, so the bound would keep nearly every row there
-    count = np.full((p, 1), c)
-    if n > PIXEL_BLOCK:
-        index, count = _kept_rows(cols, sets)
-        index += (np.arange(p) * c)[:, None, None]
-    firsts = range(0, p, CENTER_SETS_PER_SWEEP)
-    # per group and block: the fewest and the most rows a set keeps
-    fewest = np.minimum.reduceat(count, firsts, axis=0).tolist()
-    most = np.maximum.reduceat(count, firsts, axis=0).tolist()
-    for g, first in enumerate(firsts):
-        k = min(p - first, CENTER_SETS_PER_SWEEP)
-        for j, start in enumerate(range(0, n, PIXEL_BLOCK)):
-            b = min(n - start, PIXEL_BLOCK)
-            m = most[g][j]
-            if fewest[g][j] == c:
-                centers = flat[first * c : (first + k) * c]
-            else:
-                centers = flat[index[first : first + k, :m, j].ravel()]
-            block = _block_squared_distances(
-                cols[:, start : start + b], centers, work[0, : k * m, :b], work[1, : k * m, :b]
-            )
-            np.min(block.reshape(k, m, b), axis=1, out=mins[:k, start : start + b])
-        for s in range(k):
-            errors[first + s] = np.sum(mins[s])
-    return errors
+    if d != dataset.n_channels:
+        raise ValueError(f"centers are {d} wide but the pixels have {dataset.n_channels} channels")
+    return _Fitness(dataset, p, c)(sets)
 
 
 def assign_nearest(dataset: PixelDataset, centers: np.ndarray) -> np.ndarray:

@@ -11,14 +11,14 @@ its fitness is the total squared distance from every pixel to its nearest
 center (the quantization error of that center set). The swarm is held as
 (P, C*d) position, velocity and personal-best arrays plus a (P,) array of
 personal-best fitness, and one step advances every row at once. One
-``swarm_fitness`` call per step scores the whole swarm: it sweeps the
-dataset's stored channel-major pixels (``pixels.T``, no copy) a few
-particles at a time, and in each pixel block scores only the centers
-that its bounding box allows to be nearest to some pixel there
-(``quantization_errors``). A skipped center is strictly farther than a
-kept one from every pixel of the block, so the fitness matches
-``particle_fitness`` row by row bit for bit. The swarm stops when the
-relative fitness variance collapses or the iteration budget runs out.
+scorer, built once per run, scores the whole swarm at every step: it
+sweeps the dataset's stored channel-major pixels (``pixels.T``, no copy)
+a few particles at a time, and in each pixel block scores only the
+centers that the bounding boxes of its pixels allow to be nearest to some
+pixel there (``quantization_errors``). A skipped center is strictly
+farther than a kept one from every pixel of its box, so the fitness
+matches ``particle_fitness`` row by row bit for bit. The swarm stops when
+the relative fitness variance collapses or the iteration budget runs out.
 
 Determinism contract: one seeded generator drives the whole run, consumed
 in a fixed order: the particles are initialized one by one, then each step
@@ -30,7 +30,9 @@ history bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -39,6 +41,7 @@ from .core import (
     EPS_ZERO,
     ClusterConfig,
     PixelDataset,
+    _Fitness,
     min_squared_distances,
     quantization_errors,
     require_integer,
@@ -149,10 +152,17 @@ def swarm_fitness(dataset: PixelDataset, position: np.ndarray) -> np.ndarray:
     """``particle_fitness`` of every row of a (P, C*d) position array, shape (P,).
 
     Bit-identical to scoring the rows one by one, at a fraction of the cost.
+    A width that is not a multiple of the pixels' channel count raises
+    ``ValueError``; no rows give an empty array.
     """
-    return quantization_errors(
-        dataset, position.reshape(position.shape[0], -1, dataset.n_channels)
-    )
+    position = np.asarray(position, dtype=np.float64)
+    d = dataset.n_channels
+    if position.ndim != 2:
+        raise ValueError("positions must be a (P, C*d) array")
+    p, width = position.shape
+    if width % d:
+        raise ValueError(f"positions are {width} wide, not a multiple of the pixels' {d} channels")
+    return quantization_errors(dataset, position.reshape(p, width // d, d))
 
 
 def swarm_stats(fitnesses: np.ndarray) -> SwarmStats:
@@ -183,6 +193,16 @@ def adaptive_inertia(f_i: float, stats: SwarmStats, config: SwarmConfig) -> floa
     return min(config.w_max, max(config.w_min, raw))
 
 
+def _inertia(fitness: np.ndarray, stats: SwarmStats, config: SwarmConfig) -> np.ndarray:
+    """``adaptive_inertia`` of every particle at once, bit for bit, shape (P,)."""
+    spread = stats.f_avg - stats.f_min
+    if spread < EPS_ZERO:
+        return np.full(len(fitness), config.w_max)
+    raw = (config.w_max - config.w_min) * (fitness - stats.f_min) / spread
+    w = np.minimum(config.w_max, np.maximum(config.w_min, raw))
+    return np.where(fitness < stats.f_avg, config.w_max, w)
+
+
 def adaptive_learning_factors(
     n: int, config: SwarmConfig
 ) -> tuple[float, float]:
@@ -198,7 +218,7 @@ def adaptive_learning_factors(
 
 
 def _step(
-    dataset: PixelDataset,
+    score: Callable[[np.ndarray], np.ndarray],
     position: np.ndarray,
     velocity: np.ndarray,
     pbest: np.ndarray,
@@ -212,8 +232,9 @@ def _step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Advance every row of the swarm: velocity update, move, clamp, re-evaluate.
 
-    Row i uses inertia ``w[i]`` and draws ``r[i] = (r1, r2)``, shared across
-    all of its dimensions. The new velocity is clamped per component to
+    ``score`` maps the (P, C*d) positions to their (P,) fitness. Row i uses
+    inertia ``w[i]`` and draws ``r[i] = (r1, r2)``, shared across all of its
+    dimensions. The new velocity is clamped per component to
     +/- v_max_fraction * 255 and the new position to [0, 255]; a personal
     best moves to the new position where that improves on it. Returns the
     new (position, velocity, fitness, pbest, pbest_fitness).
@@ -226,7 +247,7 @@ def _step(
     )
     np.clip(velocity, -v_cap, v_cap, out=velocity)
     position = np.clip(position + velocity, POSITION_LO, POSITION_HI)
-    fitness = swarm_fitness(dataset, position)
+    fitness = score(position)
     improved = fitness < pbest_fitness
     pbest = np.where(improved[:, None], position, pbest)
     pbest_fitness = np.where(improved, fitness, pbest_fitness)
@@ -249,7 +270,7 @@ def step_particle(
     """
     r = np.array([[rng.random(), rng.random()]])
     position, velocity, fitness, pbest, pbest_fitness = _step(
-        dataset, p.position[None], p.velocity[None], p.pbest[None],
+        partial(swarm_fitness, dataset), p.position[None], p.velocity[None], p.pbest[None],
         np.array([p.pbest_fitness]), gbest, np.array([w]), c1, c2, r, config,
     )
     return Particle(
@@ -280,7 +301,8 @@ def run_swarm(
         sample_distinct_pixels(dataset, config.cluster_count, rng).ravel()
         for _ in range(size)
     ])
-    fitness = swarm_fitness(dataset, position)
+    score = _Fitness(dataset, size, config.cluster_count)
+    fitness = score(position)
     velocity = np.zeros_like(position)
     pbest, pbest_fitness = position.copy(), fitness.copy()
     best = int(np.argmin(pbest_fitness))
@@ -303,9 +325,9 @@ def run_swarm(
             break
 
         c1, c2 = adaptive_learning_factors(n, sconfig)
-        w = np.array([adaptive_inertia(f, stats, sconfig) for f in fitness])
+        w = _inertia(fitness, stats, sconfig)
         position, velocity, fitness, pbest, pbest_fitness = _step(
-            dataset, position, velocity, pbest, pbest_fitness, gbest,
+            score, position, velocity, pbest, pbest_fitness, gbest,
             w, c1, c2, rng.random((size, 2)), sconfig,
         )
         best = int(np.argmin(pbest_fitness))

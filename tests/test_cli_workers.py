@@ -55,10 +55,10 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     write_blob_image(first)
     write_second_blob_image(second)
     outputs = []
-    for count in (1, 2):
+    for count in (1, 2, 3):
         use_cpus(monkeypatch, count)
         outputs.append(run_compare_and_bench(tmp_path / f"cpus{count}", first, second))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     # bench aggregates carry no wall-clock field, so they match byte for byte
     assert b"wall_time" not in outputs[0][2]
 
@@ -89,6 +89,54 @@ def test_no_worker_outlives_main(tmp_path, monkeypatch):
     argv = ["bench", str(flat), "--seeds", "0,1,2", "--clusters", "3",
             "--report", str(tmp_path / "bench.json"), *FAST]
     assert run_cli(argv) == 1
+    assert multiprocessing.active_children() == []
+
+
+def fail_in_the_parent(monkeypatch):
+    """Make every engine the parent runs fail; the spawned workers run the real ones."""
+    ran = []
+
+    def run_algorithm(name, *args):
+        ran.append(name)
+        raise RuntimeError(f"{name} failed in the parent")
+
+    monkeypatch.setattr(cli, "run_algorithm", run_algorithm)
+    return ran
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_failing_parent_task_is_raised_at_its_position(tmp_path, capsys, monkeypatch, cpus):
+    src = tmp_path / "in.ppm"
+    write_blob_image(src)
+    use_cpus(monkeypatch, cpus)
+    ran = fail_in_the_parent(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli(["compare", str(src), str(out), "--clusters", "3", *FAST]) == 1
+    # the parent's share is every cpus-th engine, and it runs none after a failure
+    first = swarmseg.ALGORITHMS[cpus - 1]
+    assert ran == [first]
+    assert capsys.readouterr().err == f"swarmseg: error: {first} failed in the parent\n"
+    assert not (out / "report.json").exists()
+    assert multiprocessing.active_children() == []
+    ran.clear()
+    argv = ["bench", str(src), "--seeds", "0,1", "--clusters", "3",
+            "--report", str(tmp_path / "bench.json"), *FAST]
+    assert run_cli(argv) == 1
+    assert ran == [first]
+    assert not (tmp_path / "bench.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_failure_before_a_failing_parent_task_wins(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "in.ppm"
+    write_block_image(src, colors=((250, 10, 10), (10, 250, 10)))
+    use_cpus(monkeypatch, 2)
+    fail_in_the_parent(monkeypatch)
+    assert run_cli(["compare", str(src), str(tmp_path / "out"), "--clusters", "3", *FAST]) == 1
+    # k-means, the first task, is a worker's; the parent's fcm fails after it
+    err = capsys.readouterr().err
+    assert "only 2 distinct pixel values" in err
+    assert "failed in the parent" not in err
     assert multiprocessing.active_children() == []
 
 

@@ -1,12 +1,14 @@
 """Domain type validation and distance/assignment primitives."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from swarmseg import RawImage
 from swarmseg.core import (
+    BOUND_BOX,
     CENTER_SETS_PER_SWEEP,
     PIXEL_BLOCK,
     ClusterConfig,
@@ -15,6 +17,7 @@ from swarmseg.core import (
     PixelDataset,
     TooManyClustersError,
     _count_distinct,
+    _Fitness,
     _kept_rows,
     assign_nearest,
     min_squared_distances,
@@ -413,6 +416,77 @@ def test_bounded_errors_drop_rows_on_a_banded_image():
     assert count.sum() < count.size * 4
     assert np.any(count == 1)
     assert np.array_equal(quantization_errors(ds, sets), dense_errors(ds, sets))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_boxes_drop_rows_the_block_box_keeps(d):
+    # 256-pixel boxes alternate between a band around 40 and one around
+    # 200; the last block ends with a whole box and a ragged one
+    assert PIXEL_BLOCK % BOUND_BOX == 0
+    rng = np.random.default_rng(50 + d)
+    n = 2 * PIXEL_BLOCK + BOUND_BOX + 44
+    band = (np.arange(n) // BOUND_BOX) % 2
+    px = np.where(band[:, None] == 0, 40.0, 200.0) + rng.integers(-3, 4, (n, d))
+    ds = PixelDataset(pixels=px, width=n, height=1)
+    sets = np.stack([
+        [[40.0] * d, [200.0] * d, [120.0] * d, [128.0] * d],
+        [[120.0] * d, [41.0] * d, [120.0] * d, [199.0] * d],
+        [[0.0] * d, [255.0] * d, [130.0] * d, [90.0] * d],
+        *rng.uniform(0, 255, (2, 4, d)),
+    ])
+    assert len(sets) % CENTER_SETS_PER_SWEEP == 1  # the last group has one set
+    # every block's own box holds 120 and 128, so its bound keeps them ...
+    for start in range(0, n, PIXEL_BLOCK):
+        block = px[start : start + PIXEL_BLOCK]
+        assert np.all(block.min(axis=0) < 120.0) and np.all(block.max(axis=0) > 128.0)
+    # ... but no 256-pixel box does
+    _, count = _kept_rows(ds.pixels.T, sets)
+    assert count.shape == (len(sets), 3)
+    assert count[:2].tolist() == [[2, 2, 2], [2, 2, 2]]
+    assert np.all(count[2] == 2)  # 90 for the low band, 255 for the high one
+    want = dense_errors(ds, sets)
+    assert np.array_equal(quantization_errors(ds, sets), want)
+    for p in range(len(sets)):
+        assert np.array_equal(quantization_errors(ds, sets[p : p + 1]), want[p : p + 1])
+
+
+def test_one_scorer_serves_many_calls():
+    ds = banded_dataset()
+    rng = np.random.default_rng(12)
+    score = _Fitness(ds, 5, 4)  # the last group holds one set
+    for _ in range(3):
+        sets = np.stack([sample_distinct_pixels(ds, 4, rng) for _ in range(5)])
+        sets += rng.uniform(-30, 30, sets.shape)
+        np.clip(sets, 0, 255, out=sets)
+        got = score(sets.reshape(5, 4 * 3))
+        assert np.array_equal(got, quantization_errors(ds, sets))
+        assert np.array_equal(got, dense_errors(ds, sets))
+
+
+def test_a_scorer_call_allocates_no_array_of_every_pixel():
+    rng = np.random.default_rng(13)
+    n = 4 * PIXEL_BLOCK + 100
+    ds = PixelDataset(pixels=rng.uniform(0, 255, (n, 3)), width=n, height=1)
+    position = rng.uniform(0, 255, (3, 4 * 3))
+    one_array = n * 8
+    score = _Fitness(ds, 3, 4)
+    tracemalloc.start()
+    try:
+        score(position)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        got = score(position)
+        call_peak = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        want = quantization_errors(ds, position.reshape(3, 4, 3))
+        one_shot_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert call_peak < one_array, call_peak
+    # the one-shot form makes its (N,) scratch, so the measurement sees it
+    assert one_shot_peak >= one_array, one_shot_peak
 
 
 def test_assign_nearest_basic_and_tie_break():

@@ -101,6 +101,23 @@ def test_swarm_fitness_matches_particle_fitness_bitwise(d):
         assert np.array_equal(swarm_fitness(ds, position[:1]), want[:1])
 
 
+def test_swarm_fitness_of_no_rows_is_empty():
+    # one block and, past PIXEL_BLOCK pixels, the bounded path
+    for n, d in ((2, 1), (4, 3), (PIXEL_BLOCK + 5, 3)):
+        ds = PixelDataset(pixels=np.zeros((n, d)), width=n, height=1)
+        got = swarm_fitness(ds, np.zeros((0, 2 * d)))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+
+def test_swarm_fitness_rejects_a_width_not_a_multiple_of_the_channels():
+    ds = PixelDataset(pixels=np.zeros((4, 3)), width=2, height=2)
+    for width in (2, 7):
+        with pytest.raises(ValueError, match=rf"positions are {width} wide, .* 3 channels"):
+            swarm_fitness(ds, np.zeros((2, width)))
+    with pytest.raises(ValueError, match=r"positions are 4 wide, .* 3 channels"):
+        swarm_fitness(ds, np.zeros((0, 4)))
+
+
 @pytest.mark.parametrize("schedule", [{}, CLASSIC_SCHEDULE], ids=["adaptive", "classic"])
 def test_run_swarm_on_pruned_blocks_matches_dense_fitness(monkeypatch, schedule):
     ds = banded_dataset()
@@ -108,8 +125,8 @@ def test_run_swarm_on_pruned_blocks_matches_dense_fitness(monkeypatch, schedule)
     sconfig = replace(SwarmConfig(swarm_size=7, n_max=12, variance_tol=0.0), **schedule)
     kept, inner = [], core._kept_rows
 
-    def kept_rows(cols, sets):
-        index, count = inner(cols, sets)
+    def kept_rows(cols, sets, *extents):
+        index, count = inner(cols, sets, *extents)
         kept.append(count)
         return index, count
 
@@ -117,10 +134,10 @@ def test_run_swarm_on_pruned_blocks_matches_dense_fitness(monkeypatch, schedule)
     centers, history = run_swarm(ds, config, sconfig)
     assert any(np.any(count < 4) for count in kept)
 
-    def dense_fitness(dataset, position):
-        return dense_errors(dataset, position.reshape(len(position), -1, dataset.n_channels))
+    def dense_scorer(dataset, sets, clusters):
+        return lambda position: dense_errors(dataset, position.reshape(sets, clusters, -1))
 
-    monkeypatch.setattr(swarm, "swarm_fitness", dense_fitness)
+    monkeypatch.setattr(swarm, "_Fitness", dense_scorer)
     want_centers, want = run_swarm(ds, config, sconfig)
     assert np.array_equal(history.gbest_fitness, want.gbest_fitness)
     assert np.array_equal(centers, want_centers)
@@ -178,6 +195,38 @@ def test_inertia_always_inside_bounds():
         f_i = float(rng.choice(f))
         w = adaptive_inertia(f_i, stats, config)
         assert config.w_min <= w <= config.w_max
+
+
+@pytest.mark.parametrize("w_min", [0.4, 0.6, 0.9])
+def test_vectorised_inertia_equals_the_scalar_rule_bitwise(w_min):
+    config = SwarmConfig(w_max=0.9, w_min=w_min)
+    rng = np.random.default_rng(14)
+    swarms = [
+        np.array([0.0, 20.0, 10.0, 10.0]),  # f equal to f_avg
+        np.array([5.0, 5.0, 5.0]),  # no spread
+        np.array([0.0, 2e-13, 1e-13, 1e-13]),  # spread below EPS_ZERO
+        np.array([0.0, 10.0, 10.0, 10.0, 10.5]),  # raw below w_min = 0.6 above the mean
+        np.array([0.0, 1.0, 2.0, 100.0]),  # raw above w_max for 100
+        *rng.uniform(0, 1e6, (20, 7)),
+        *np.round(rng.uniform(0, 10, (20, 6))),
+    ]
+    hit_low = hit_high = False
+    for f in swarms:
+        stats = swarm_stats(f)
+        got = swarm._inertia(f, stats, config)
+        want = np.array([adaptive_inertia(x, stats, config) for x in f])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        spread = stats.f_avg - stats.f_min
+        if spread < 1e-12:
+            assert np.all(got == config.w_max)
+        else:
+            raw = (config.w_max - config.w_min) * (f - stats.f_min) / spread
+            upper = f >= stats.f_avg
+            hit_low |= bool(np.any(raw[upper] < config.w_min))
+            hit_high |= bool(np.any(raw[upper] > config.w_max))
+    # a flat schedule's raw value is 0, below w_min; the others clamp at the top
+    assert (hit_low, hit_high) == {0.4: (False, True), 0.6: (True, True), 0.9: (True, False)}[w_min]
 
 
 def test_learning_factor_endpoints_are_exact():
