@@ -59,35 +59,34 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
+# One row per run setting: (flag, parse type, config class, field, help).
+# Each flag's dest is its field and its default the field's default.
+RUN_FLAGS = (
+    ("--clusters", _positive_int, ClusterConfig, "cluster_count", "number of clusters C"),
+    ("--seed", _nonnegative_int, ClusterConfig, "seed", "random seed"),
+    ("--fuzzifier", float, ClusterConfig, "fuzzifier", "fuzzy exponent m > 1"),
+    ("--swarm-size", _positive_int, SwarmConfig, "swarm_size", "particles in the swarm"),
+    ("--iters", _positive_int, SwarmConfig, "n_max", "maximum swarm iterations"),
+    ("--w-max", float, SwarmConfig, "w_max", "maximum inertia weight"),
+    ("--w-min", float, SwarmConfig, "w_min", "minimum inertia weight"),
+    ("--c1-init", float, SwarmConfig, "c1_init", "initial cognitive factor"),
+    ("--c1-final", float, SwarmConfig, "c1_final", "final cognitive factor"),
+    ("--c2-init", float, SwarmConfig, "c2_init", "initial social factor"),
+    ("--c2-final", float, SwarmConfig, "c2_final", "final social factor"),
+    ("--variance-tol", float, SwarmConfig, "variance_tol",
+     "relative fitness-variance stop threshold"),
+    ("--vmax-frac", float, SwarmConfig, "v_max_fraction",
+     "velocity cap as a fraction of the 255 range"),
+)
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--clusters", type=_positive_int, default=5,
-                        help="number of clusters C (default 5)")
-    parser.add_argument("--seed", type=_nonnegative_int, default=42,
-                        help="random seed (default 42)")
-    parser.add_argument("--fuzzifier", type=float, default=2.0,
-                        help="fuzzy exponent m > 1 (default 2.0)")
+    for flag, parse, owner, field, text in RUN_FLAGS:
+        # a dataclass keeps each field's default as its class attribute
+        parser.add_argument(flag, type=parse, dest=field, default=getattr(owner, field),
+                            help=f"{text} (default %(default)s)")
     parser.add_argument("--max-side", type=_positive_int, default=None,
                         help="downscale so the longer image side is at most this")
-    parser.add_argument("--swarm-size", type=_positive_int, default=20,
-                        help="particles in the swarm (default 20)")
-    parser.add_argument("--iters", type=_positive_int, default=100,
-                        help="maximum swarm iterations (default 100)")
-    parser.add_argument("--w-max", type=float, default=0.9,
-                        help="maximum inertia weight (default 0.9)")
-    parser.add_argument("--w-min", type=float, default=0.4,
-                        help="minimum inertia weight (default 0.4)")
-    parser.add_argument("--c1-init", type=float, default=2.5,
-                        help="initial cognitive factor (default 2.5)")
-    parser.add_argument("--c1-final", type=float, default=0.5,
-                        help="final cognitive factor (default 0.5)")
-    parser.add_argument("--c2-init", type=float, default=0.5,
-                        help="initial social factor (default 0.5)")
-    parser.add_argument("--c2-final", type=float, default=2.5,
-                        help="final social factor (default 2.5)")
-    parser.add_argument("--variance-tol", type=float, default=1e-3,
-                        help="relative fitness-variance stop threshold")
-    parser.add_argument("--vmax-frac", type=float, default=0.2,
-                        help="velocity cap as a fraction of the 255 range")
     parser.add_argument("--report", type=Path, default=None,
                         help="write a JSON report to this path")
 
@@ -107,7 +106,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_segment.add_argument("--algo", choices=ALGORITHMS, default="apsof",
                            help="algorithm to run (default apsof)")
     _add_run_flags(p_segment)
-    p_segment.set_defaults(func=cmd_segment)
+    p_segment.set_defaults(func=cmd_segment, parser=p_segment)
 
     p_compare = sub.add_parser(
         "compare", help="run all algorithms on one image and report"
@@ -116,7 +115,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("outdir", type=Path,
                            help="directory for per-algorithm quantized images")
     _add_run_flags(p_compare)
-    p_compare.set_defaults(func=cmd_compare)
+    p_compare.set_defaults(func=cmd_compare, parser=p_compare)
 
     p_bench = sub.add_parser(
         "bench", help="aggregate comparisons over many seeds"
@@ -128,7 +127,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed-count", type=_positive_int, default=None,
                          help="run this many consecutive seeds starting at --seed")
     _add_run_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func=cmd_bench, parser=p_bench)
 
     return parser
 
@@ -136,28 +135,15 @@ def make_parser() -> argparse.ArgumentParser:
 def _build_configs(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> tuple[ClusterConfig, SwarmConfig]:
-    """Translate validated flags into config objects; bad combos are usage errors."""
+    """Build each config from its rows of ``RUN_FLAGS``; bad values are usage errors."""
     try:
-        config = ClusterConfig(
-            cluster_count=args.clusters,
-            fuzzifier=args.fuzzifier,
-            seed=args.seed,
-        )
-        sconfig = SwarmConfig(
-            swarm_size=args.swarm_size,
-            n_max=args.iters,
-            w_max=args.w_max,
-            w_min=args.w_min,
-            c1_init=args.c1_init,
-            c1_final=args.c1_final,
-            c2_init=args.c2_init,
-            c2_final=args.c2_final,
-            variance_tol=args.variance_tol,
-            v_max_fraction=args.vmax_frac,
+        return tuple(
+            cls(**{field: getattr(args, field) for _, _, owner, field, _ in RUN_FLAGS
+                   if owner is cls})
+            for cls in (ClusterConfig, SwarmConfig)
         )
     except ValueError as exc:
         parser.error(str(exc))
-    return config, sconfig
 
 
 def _load_dataset(path: Path, max_side: int | None) -> PixelDataset:
@@ -336,7 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        # a bad value is reported against its subcommand's usage, as argparse does
+        return args.func(args, args.parser)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"swarmseg: error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ClusterConfig, PixelDataset, sample_distinct_pixels
+from .core import ClusterConfig, PixelDataset, sample_distinct_pixels, validate_config
 from .fcm import FcmResult, run_fcm
 from .kmeans import KmeansResult, run_kmeans
 from .swarm import CLASSIC_SCHEDULE, SwarmConfig, SwarmHistory, run_swarm
@@ -92,6 +92,8 @@ def run_algorithm(
         final_jm, iterations = result.sse_trajectory[-1], result.iterations
     else:
         if name == "fcm":
+            # checked before sampling, so every engine reports too many clusters alike
+            validate_config(config, dataset)
             rng = np.random.default_rng(config.seed)
             initial = sample_distinct_pixels(dataset, config.cluster_count, rng)
         else:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -148,23 +147,6 @@ def particle_fitness(dataset: PixelDataset, position: np.ndarray) -> float:
     return float(np.sum(min_squared_distances(dataset, centers)))
 
 
-def swarm_fitness(dataset: PixelDataset, position: np.ndarray) -> np.ndarray:
-    """``particle_fitness`` of every row of a (P, C*d) position array, shape (P,).
-
-    Bit-identical to scoring the rows one by one, at a fraction of the cost.
-    A width that is not a multiple of the pixels' channel count raises
-    ``ValueError``; no rows give an empty array.
-    """
-    position = np.asarray(position, dtype=np.float64)
-    d = dataset.n_channels
-    if position.ndim != 2:
-        raise ValueError("positions must be a (P, C*d) array")
-    p, width = position.shape
-    if width % d:
-        raise ValueError(f"positions are {width} wide, not a multiple of the pixels' {d} channels")
-    return quantization_errors(dataset, position.reshape(p, width // d, d))
-
-
 def swarm_stats(fitnesses: np.ndarray) -> SwarmStats:
     """Mean, minimum, and population variance of the swarm's fitness values."""
     f = np.asarray(fitnesses, dtype=np.float64)
@@ -270,7 +252,8 @@ def step_particle(
     """
     r = np.array([[rng.random(), rng.random()]])
     position, velocity, fitness, pbest, pbest_fitness = _step(
-        partial(swarm_fitness, dataset), p.position[None], p.velocity[None], p.pbest[None],
+        lambda x: quantization_errors(dataset, x.reshape(1, -1, dataset.n_channels)),
+        p.position[None], p.velocity[None], p.pbest[None],
         np.array([p.pbest_fitness]), gbest, np.array([w]), c1, c2, r, config,
     )
     return Particle(

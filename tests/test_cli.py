@@ -1,13 +1,16 @@
 """Command-line behavior: flags, exit codes, files written."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from swarmseg import cli
 from swarmseg.cli import main
+from swarmseg.core import ClusterConfig
 from swarmseg.imaging import load_ppm, write_ppm
+from swarmseg.swarm import SwarmConfig
 from swarmseg.synthetic import gaussian_blob_image, solid_block_image
 
 FAST = ["--swarm-size", "5", "--iters", "10"]
@@ -166,10 +169,66 @@ def test_non_finite_swarm_coefficient_is_a_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("segment", ["--fuzzifier", "1.0"]),
+        ("compare", ["--c1-init", "nan"]),
+        ("bench", ["--seeds", f"0,{2**64}"]),
+        ("bench", ["--seed", str(2**64 - 1), "--seed-count", "2"]),
+    ],
+)
+def test_a_bad_config_value_shows_its_subcommands_usage(tmp_path, capsys, command, flags):
+    src = tmp_path / "in.ppm"
+    write_block_image(src)
+    out = [] if command == "bench" else [str(tmp_path / "out")]
+    report = ["--report", str(tmp_path / "r.json")] if command == "bench" else []
+    assert run_cli([command, str(src), *out, *flags, *report, *FAST]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: swarmseg {command} ")
+    assert f"swarmseg {command}: error: " in err
+
+
+def test_every_run_setting_has_a_flag_defaulting_to_its_field():
+    # every swarm setting and the cluster count, seed and fuzzifier; the FCM
+    # stopping rule is not a flag
+    settings = [(SwarmConfig, f) for f in fields(SwarmConfig)] + [
+        (ClusterConfig, f) for f in fields(ClusterConfig)
+        if f.name in ("cluster_count", "seed", "fuzzifier")
+    ]
+    flag_of = {field: flag for flag, _, _, field, _ in cli.RUN_FLAGS}
+    parser = cli.make_parser()
+    commands = (["segment", "in.ppm", "out.ppm"], ["compare", "in.ppm", "out"], ["bench", "in.ppm"])
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert cli._build_configs(args, args.parser) == (ClusterConfig(), SwarmConfig())
+        for owner, field in settings:
+            assert getattr(args, field.name) == field.default, (argv[0], field.name)
+            # the flag reaches its field: a value off the default lands there
+            value = field.default + 1 if isinstance(field.default, int) else field.default * 1.25
+            changed = parser.parse_args([*argv, flag_of[field.name], str(value)])
+            configs = cli._build_configs(changed, changed.parser)
+            built = configs[0] if owner is ClusterConfig else configs[1]
+            assert getattr(built, field.name) == value, (argv[0], field.name)
+
+
 def test_missing_input_is_a_runtime_error(tmp_path, capsys):
     code = run_cli(["segment", str(tmp_path / "absent.ppm"), str(tmp_path / "o.ppm")])
     assert code == 1
     assert "swarmseg: error:" in capsys.readouterr().err
+
+
+def test_too_many_clusters_reads_alike_from_fcm_and_kmeans(tmp_path, capsys):
+    src = tmp_path / "in.ppm"
+    write_block_image(src, colors=((250, 10, 10), (10, 250, 10)))
+    errs = []
+    for algo in ("fcm", "kmeans"):
+        argv = ["segment", str(src), str(tmp_path / "o.ppm"), "--algo", algo, "--clusters", "3"]
+        assert run_cli(argv) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == (
+        "swarmseg: error: requested 3 clusters but the image has only 2 distinct pixel values\n"
+    )
 
 
 def test_malformed_input_is_a_runtime_error(tmp_path, capsys):

@@ -9,6 +9,7 @@ from swarmseg.core import (
     PIXEL_BLOCK,
     ClusterConfig,
     DeadClusterError,
+    DegenerateClusteringError,
     PixelDataset,
     squared_distances,
 )
@@ -276,6 +277,50 @@ def test_run_fcm_reseeds_dead_cluster_on_farthest_pixel():
     assert result.centers[:, 0].tolist() == [0.0, 20.0, 10.0]
     assert result.labels.tolist() == [0, 2, 1]
     assert result.jm_trajectory[-1] == 0.0
+
+
+def keep_dead_then(monkeypatch, script):
+    """Patch ``_reseed_dead``: call k returns ``script[k]``, or reseeds as usual once it runs out.
+
+    A scripted row of 255 stays dead: with m = 1.001 every pixel of 0..20
+    is so much nearer a live center that its weight there underflows.
+    """
+    calls, reseed = [], fcm._reseed_dead
+
+    def fake(dataset, centers, dead):
+        calls.append(dead)
+        if len(calls) > len(script):
+            return reseed(dataset, centers, dead)
+        return np.array(script[len(calls) - 1], dtype=np.float64).reshape(-1, 1)
+
+    monkeypatch.setattr(fcm, "_reseed_dead", fake)
+    return calls
+
+
+def test_run_fcm_gives_up_on_the_c_plus_first_dead_alternation_in_a_row(monkeypatch):
+    # Column 2 dies at the start (as in the reseed test above) and the
+    # script keeps it at 255 while center 1 moves, so J_m keeps changing:
+    # 100, 52, 58, 68. The fourth dead alternation in a row raises.
+    calls = keep_dead_then(monkeypatch, [[0, 14, 255], [0, 13, 255], [0, 12, 255]])
+    ds = scalar_dataset([0.0, 10.0, 20.0])
+    config = ClusterConfig(cluster_count=3, fuzzifier=1.001)
+    with pytest.raises(DegenerateClusteringError, match="dead clusters recurred 4 times in a row"):
+        run_fcm(ds, np.array([[0.0], [10.0], [0.0]]), config)
+    assert calls == [[2], [2], [2]]
+
+
+def test_run_fcm_restarts_the_dead_count_after_a_clean_alternation(monkeypatch):
+    # Three dead alternations, then centers -1 and 1 share pixel 0 and both
+    # settle on it: no cluster dies. Centers 0, 15, 0 then leave column 2
+    # dead again, the fourth dead alternation but the first since the clean
+    # one; the usual reseed puts it on pixel 10 and the run converges.
+    calls = keep_dead_then(monkeypatch, [[0, 14, 255], [0, 13, 255], [-1, 15, 1]])
+    ds = scalar_dataset([0.0, 10.0, 20.0])
+    config = ClusterConfig(cluster_count=3, fuzzifier=1.001)
+    result = run_fcm(ds, np.array([[0.0], [10.0], [0.0]]), config)
+    assert calls == [[2], [2], [2], [2]]
+    assert result.converged
+    assert result.centers[:, 0].tolist() == [0.0, 20.0, 10.0]
 
 
 def test_run_fcm_and_evaluate_jm_hold_no_cluster_by_pixel_array():

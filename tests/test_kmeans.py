@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from swarmseg import kmeans
 from swarmseg.core import (
     ClusterConfig,
+    DegenerateClusteringError,
     PixelDataset,
     TooManyClustersError,
     assign_nearest,
@@ -141,6 +143,49 @@ def test_empty_cluster_is_reseeded_on_farthest_pixel():
     assert result.centers[:, 0].tolist() == [101.5, 262.0 / 5, 4.0, 201.75]
     assert result.labels.tolist() == [2, 1, 0, 1, 1, 3, 3, 3, 1, 0, 3, 1]
     assert result.converged
+
+
+def keep_empty_then(monkeypatch, script):
+    """Start k-means on centers 0, 10, 255 and script its reseeds.
+
+    Reseed call k returns ``script[k]``, or reseeds as usual once the script
+    runs out. Centers 0 and 10 swapping places change every label while the
+    center at 255 stays empty, so the loop neither converges nor recovers.
+    """
+    calls, reseed = [], kmeans.reseed_farthest
+
+    def fake(dataset, centers, empty, dist_to_assigned):
+        calls.append(empty)
+        if len(calls) > len(script):
+            return reseed(dataset, centers, empty, dist_to_assigned)
+        return np.array(script[len(calls) - 1], dtype=np.float64).reshape(-1, 1)
+
+    start = np.array([[0.0], [10.0], [255.0]])
+    monkeypatch.setattr(kmeans, "sample_distinct_pixels", lambda *_: start)
+    monkeypatch.setattr(kmeans, "reseed_farthest", fake)
+    return calls
+
+
+def test_kmeans_gives_up_on_the_c_plus_first_empty_step_in_a_row(monkeypatch):
+    calls = keep_empty_then(monkeypatch, [[10, 0, 255], [0, 10, 255], [10, 0, 255]])
+    ds = scalar_dataset([0, 1, 9, 10])
+    with pytest.raises(DegenerateClusteringError, match="empty clusters recurred 4 times in a row"):
+        run_kmeans(ds, ClusterConfig(cluster_count=3))
+    assert calls == [[2], [2], [2]]
+
+
+def test_kmeans_restarts_the_empty_count_after_a_clean_step(monkeypatch):
+    # After three empty steps, centers -4, 5, 14 split the pixels {0},
+    # {1, 9}, {10}: no cluster is empty. Their means 0, 5, 10 leave cluster
+    # 1 empty again, the fourth empty step but the first since the clean
+    # one; the usual reseed puts it on pixel 1 and the run converges.
+    calls = keep_empty_then(monkeypatch, [[10, 0, 255], [0, 10, 255], [-4, 5, 14]])
+    ds = scalar_dataset([0, 1, 9, 10])
+    result = run_kmeans(ds, ClusterConfig(cluster_count=3))
+    assert calls == [[2], [2], [2], [1]]
+    assert result.converged
+    assert result.centers[:, 0].tolist() == [0.0, 1.0, 9.5]
+    assert result.labels.tolist() == [0, 1, 2, 2]
 
 
 @pytest.mark.parametrize("cap", [1, 2])

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swarmseg.core import ClusterConfig
+from swarmseg.core import ClusterConfig, TooManyClustersError
 from swarmseg.imaging import to_dataset
 from swarmseg.kmeans import run_kmeans
 from swarmseg.pipeline import ALGORITHMS, run_algorithm, run_apsof
@@ -38,6 +38,17 @@ def test_unknown_algorithm_rejected():
     ds, _ = block_dataset()
     with pytest.raises(ValueError):
         run_algorithm("zebra", ds, ClusterConfig(cluster_count=3))
+
+
+def test_every_engine_reports_too_many_clusters_alike():
+    # two colours, three clusters: fcm checks before it samples its start
+    image, _ = solid_block_image([(250, 10, 10), (10, 250, 10)], block_width=4, height=4)
+    ds = to_dataset(image)
+    message = "requested 3 clusters but the image has only 2 distinct pixel values"
+    for name in ALGORITHMS:
+        with pytest.raises(TooManyClustersError) as info:
+            run_algorithm(name, ds, ClusterConfig(cluster_count=3), SMALL_SWARM)
+        assert str(info.value) == message, name
 
 
 def test_every_algorithm_fills_the_result():

@@ -10,6 +10,7 @@ from swarmseg.core import (
     PIXEL_BLOCK,
     ClusterConfig,
     PixelDataset,
+    quantization_errors,
     sample_distinct_pixels,
 )
 from swarmseg.swarm import (
@@ -21,7 +22,6 @@ from swarmseg.swarm import (
     particle_fitness,
     run_swarm,
     step_particle,
-    swarm_fitness,
     swarm_stats,
 )
 
@@ -85,7 +85,7 @@ def test_fitness_brute_force():
 
 
 @pytest.mark.parametrize("d", [1, 3])
-def test_swarm_fitness_matches_particle_fitness_bitwise(d):
+def test_quantization_errors_match_particle_fitness_bitwise(d):
     # N spans two full pixel blocks and a remainder; P is odd, so the last
     # sweep scores one particle alone.
     rng = np.random.default_rng(d)
@@ -97,25 +97,17 @@ def test_swarm_fitness_matches_particle_fitness_bitwise(d):
         position = rng.uniform(0, 255, (5, c * d))
         position[1] = np.round(position[1])
         want = np.array([particle_fitness(ds, row) for row in position])
-        assert np.array_equal(swarm_fitness(ds, position), want)
-        assert np.array_equal(swarm_fitness(ds, position[:1]), want[:1])
+        sets = position.reshape(5, c, d)
+        assert np.array_equal(quantization_errors(ds, sets), want)
+        assert np.array_equal(quantization_errors(ds, sets[:1]), want[:1])
 
 
-def test_swarm_fitness_of_no_rows_is_empty():
+def test_quantization_errors_of_no_sets_is_empty():
     # one block and, past PIXEL_BLOCK pixels, the bounded path
     for n, d in ((2, 1), (4, 3), (PIXEL_BLOCK + 5, 3)):
         ds = PixelDataset(pixels=np.zeros((n, d)), width=n, height=1)
-        got = swarm_fitness(ds, np.zeros((0, 2 * d)))
+        got = quantization_errors(ds, np.zeros((0, 2, d)))
         assert got.shape == (0,) and got.dtype == np.float64
-
-
-def test_swarm_fitness_rejects_a_width_not_a_multiple_of_the_channels():
-    ds = PixelDataset(pixels=np.zeros((4, 3)), width=2, height=2)
-    for width in (2, 7):
-        with pytest.raises(ValueError, match=rf"positions are {width} wide, .* 3 channels"):
-            swarm_fitness(ds, np.zeros((2, width)))
-    with pytest.raises(ValueError, match=r"positions are 4 wide, .* 3 channels"):
-        swarm_fitness(ds, np.zeros((0, 4)))
 
 
 @pytest.mark.parametrize("schedule", [{}, CLASSIC_SCHEDULE], ids=["adaptive", "classic"])
