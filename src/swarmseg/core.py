@@ -356,39 +356,41 @@ def _kept_rows(
     cols: np.ndarray,
     sets: np.ndarray,
     extents: tuple[np.ndarray, np.ndarray] | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Which center rows can be nearest to some pixel of each block.
 
     ``cols`` is the (d, N) channel-major pixels and ``sets`` the (P, C, d)
     center sets; ``extents`` is ``_box_extents(cols)``, computed when not
-    given. Per box of ``BOUND_BOX`` pixels and per set, a center's lower
-    bound is its squared distance to the box and its upper bound its squared
-    distance to the box's farthest corner, both accumulated channel by
-    channel in the kernel's order. Rounding is monotone and every term is
-    non-negative, so the kernel's distance from any pixel of the box lies
-    between the two bounds as computed. A box drops a center whose lower
-    bound exceeds ``1 + 1e-9`` times the set's smallest upper bound: it is
-    strictly farther than that set's closest-corner center, which the box
-    keeps, from every pixel of the box. A block of ``PIXEL_BLOCK`` pixels
-    keeps the centers that at least one of its boxes keeps, so no pixel's
-    nearest center is dropped.
+    given, and ``scratch`` (5, P, C, boxes) work space likewise. Per box of
+    ``BOUND_BOX`` pixels and per set, a center's lower bound is its squared
+    distance to the box and its upper bound its squared distance to the
+    box's farthest corner, both accumulated in place channel by channel in
+    the kernel's order. Rounding is monotone and every term is non-negative,
+    so the kernel's distance from any pixel of the box lies between the two
+    bounds as computed. A box drops a center whose lower bound exceeds
+    ``1 + 1e-9`` times the set's smallest upper bound: it is strictly farther
+    than that set's closest-corner center, which the box keeps, from every
+    pixel of the box. A block of ``PIXEL_BLOCK`` pixels keeps the centers
+    any of its boxes keeps, so no pixel's nearest center is dropped.
 
     Returns ``(index, count)``: ``count[p, j]`` is the number of rows of set
     p kept in block j, (P, nb); ``index[p, :, j]`` lists the kept rows of
     set p in center order, then repeats the first kept row, (P, C, nb).
     """
     lo, hi = _box_extents(cols) if extents is None else extents
-    lower = upper = 0.0
+    scratch = np.empty((5, *sets.shape[:2], lo.shape[1])) if scratch is None else scratch
+    lower, upper, below, above, far = scratch
+    scratch[:2] = 0.0
     for k in range(cols.shape[0]):
         center = sets[:, :, k, None]
-        below = lo[k] - center
-        above = center - hi[k]
-        gap = np.maximum(below, above)
-        np.maximum(gap, 0.0, out=gap)
+        np.subtract(lo[k], center, out=below)
+        np.subtract(center, hi[k], out=above)
         # the farthest corner is -min(below, above) away; negating is exact
-        far = np.minimum(below, above)
-        lower = lower + gap * gap
-        upper = upper + far * far
+        np.minimum(below, above, out=far)
+        gap = np.maximum(np.maximum(below, above, out=below), 0.0, out=below)
+        lower += np.square(gap, out=gap)
+        upper += np.square(far, out=far)
     keep = lower <= upper.min(axis=1, keepdims=True) * (1.0 + 1e-9)
     keep = np.logical_or.reduceat(keep, range(0, lo.shape[1], PIXEL_BLOCK // BOUND_BOX), axis=2)
     count = np.count_nonzero(keep, axis=1)
@@ -407,9 +409,10 @@ class _Fitness:
     clusters * d) position array, or anything of that size that reshapes
     to (sets, clusters, d); returns (sets,) errors as ``quantization_errors``
     defines them. What does not change between calls is made here: the
-    boxes' extents, since the pixels never change during a run, and the
+    boxes' extents, since the pixels never change during a run, the
     kernel's scratch and the per-pixel minima, since fresh arrays of that
-    size cost a page fault per page. A call allocates no array of N values.
+    size cost a page fault per page, and the bound's scratch, in place of
+    about ten fresh arrays per channel. A call allocates no array of N values.
     """
 
     def __init__(self, dataset: PixelDataset, sets: int, clusters: int):
@@ -422,7 +425,9 @@ class _Fitness:
         # with one block the bound costs more than it drops: forced on, the
         # lone block of each seed-protocol mixture (64x64) kept at least
         # 99.97% of the center rows over the 121 fitness calls of a swarm
-        self._extents = _box_extents(self._cols) if n > PIXEL_BLOCK else None
+        boxes = -(-n // BOUND_BOX) if n > PIXEL_BLOCK else 0
+        self._extents = _box_extents(self._cols) if boxes else None
+        self._bound = np.empty((5, sets, clusters, boxes))
 
     def __call__(self, center_sets: np.ndarray) -> np.ndarray:
         sets = center_sets.reshape(self._shape)
@@ -434,7 +439,7 @@ class _Fitness:
         n = cols.shape[1]
         count = np.full((p, 1), c)
         if self._extents is not None:
-            index, count = _kept_rows(cols, sets, self._extents)
+            index, count = _kept_rows(cols, sets, self._extents, self._bound)
             index += (np.arange(p) * c)[:, None, None]
         firsts = range(0, p, CENTER_SETS_PER_SWEEP)
         # per group and block: the fewest and the most rows a set keeps

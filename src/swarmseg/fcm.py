@@ -14,7 +14,9 @@ N·C values. Minima, ``any`` and ``argmax`` across clusters are exact in any
 order, so they are numpy's own or (the labels) an equal running maximum.
 Each sum replays the order in which numpy sums the whole (N, C) arrays
 (``_cluster_sums``, ``_StreamedSum``, ``_CenterSums``), so the blocks give
-the same bits.
+the same bits. The center numerators' running sums are carried by
+``np.einsum``'s one-accumulator loop over a strided view, not a cumulative
+sum: over a contiguous one einsum unrolls into several accumulators.
 """
 
 from __future__ import annotations
@@ -94,12 +96,18 @@ def _membership_block(d2: np.ndarray, fuzzifier: float, u: np.ndarray) -> None:
     # Work on squared distances: (d_ij/d_ik)^(2/(m-1)) == (D_ij/D_ik)^(1/(m-1)).
     # Dividing each pixel's minimum by its entries keeps every ratio in (0, 1],
     # so large exponents underflow harmlessly instead of overflowing. ``**=``
-    # takes the same scalar-exponent path (square, sqrt, copy) as ``**`` does.
+    # takes the same scalar-exponent path (square, sqrt, copy) as ``**`` does,
+    # and is skipped at exponent 1 (m = 2), where x**1.0 is x.
     np.maximum(d2, EPS_ZERO**2, out=u)
     row = u.min(axis=0)
+    # each entry is max(min_j d2, EPS²): above EPS², the block has no crisp pixel
+    nearest = row.min()
     np.divide(row, u, out=u)
-    u **= 1.0 / (fuzzifier - 1.0)
+    if (exponent := 1.0 / (fuzzifier - 1.0)) != 1.0:
+        u **= exponent
     u /= _cluster_sums(u, out=row)
+    if nearest > EPS_ZERO**2:
+        return
 
     crisp = np.flatnonzero((d2 < EPS_ZERO**2).any(axis=0))
     if crisp.size:
@@ -209,17 +217,20 @@ class _CenterSums:
     ``np.sum(w)`` and ``np.sum(w[:, None] * pixels, axis=0)``. numpy sums a
     strided column pairwise, as ``_StreamedSum`` does each weight row. It
     sums axis 0 of the (N, d) product sequentially, one pixel after
-    another: column 0 of the (C, d, b + 1) block terms holds the running
-    sums so far, and an in-place cumulative sum along the pixels carries
-    them on. When d == 1 that axis is the product's only one and is summed
-    pairwise instead.
+    another: slot 0 of each (cluster, channel) chain of the (C, d, b + 1)
+    block terms holds its running sum S, and ``np.einsum("cki->ck")``
+    carries it on. Over a chain that is not contiguous einsum keeps one
+    accumulator, ``((0 + S) + t1) + t2 ...``; over a contiguous one it
+    unrolls into several, which changes the bits, so the terms are every
+    other float64 of a buffer twice as wide. When d == 1 that axis is the
+    product's only one and is summed pairwise instead.
     """
 
     def __init__(self, clusters: int, n_pixels: int, channels: int):
         width = min(n_pixels, PIXEL_BLOCK)
         self.totals = _StreamedSum(clusters, n_pixels)
         self.numerators = _StreamedSum(clusters, n_pixels) if channels == 1 else None
-        self.terms = np.empty((clusters, channels, width + 1))
+        self.terms = np.empty((clusters, channels, width + 1, 2))[..., 0]  # strided: see above
         self.reset()
 
     def reset(self) -> None:
@@ -238,8 +249,7 @@ class _CenterSums:
         if self.numerators is not None:
             self.numerators.feed(terms[:, 0, 1:])
             return
-        np.cumsum(terms, axis=2, out=terms)
-        terms[:, :, 0] = terms[:, :, b]
+        terms[:, :, 0] = np.einsum("cki->ck", terms)
 
     def centers(self) -> tuple[np.ndarray, list[int]]:
         """Weighted means of the pixels fed; dead clusters are zero rows, listed."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swarmseg.core import (
+    EPS_ZERO,
     PIXEL_BLOCK,
     ClusterConfig,
     DeadClusterError,
@@ -121,6 +122,39 @@ def test_memberships_match_out_of_place_formula_bitwise(fuzzifier):
         want[crisp] = 0.0
         want[crisp, np.argmax(d2[crisp] < 1e-24, axis=1)] = 1.0
         assert np.array_equal(compute_memberships(ds, centers, fuzzifier), want)
+
+
+def full_membership_formula(d2, fuzzifier):
+    """The (N, C) formula on the transposed (C, b) ``d2``; always exponentiates and tests crispness."""
+    eps2 = EPS_ZERO**2
+    dn = np.ascontiguousarray(d2.T)
+    safe = np.maximum(dn, eps2)
+    u = (safe.min(axis=1, keepdims=True) / safe) ** (1.0 / (fuzzifier - 1.0))
+    u /= u.sum(axis=1, keepdims=True)
+    crisp = np.flatnonzero((dn < eps2).any(axis=1))
+    u[crisp] = 0.0
+    u[crisp, np.argmax(dn[crisp] < eps2, axis=1)] = 1.0
+    return u.T
+
+
+@pytest.mark.parametrize("fuzzifier", [1.5, 2.0, 3.0])
+def test_membership_block_matches_the_full_formula_at_the_crisp_threshold(fuzzifier):
+    eps2 = EPS_ZERO**2
+    edges = [0.0, np.nextafter(eps2, 0.0), eps2, np.nextafter(eps2, np.inf)]
+    rng = np.random.default_rng(3)
+    # every ordered pair of edge values in a column's first two rows; the third is far
+    pairs = np.array([(a, b) for a in edges for b in edges]).T
+    crisp_edges = np.vstack([pairs, rng.uniform(1.0, 100.0, pairs.shape[1])])
+    no_crisp = np.array([[eps2, 4.0, 9.0], [np.nextafter(eps2, np.inf), eps2, 2.5], [5.0, 1.0, eps2]])
+    far = rng.uniform(1.0, 60000.0, (3, 40))  # no entry near EPS², so no crisp test
+    for d2 in (crisp_edges, no_crisp, far):
+        u = np.full(d2.shape, np.nan)
+        fcm._membership_block(d2.copy(), fuzzifier, u)
+        assert np.array_equal(u, full_membership_formula(d2, fuzzifier))
+    # a column with two crisp entries goes to the first of them
+    u = np.empty((3, 1))
+    fcm._membership_block(np.array([[1.0], [0.0], [0.0]]), fuzzifier, u)
+    assert u[:, 0].tolist() == [0.0, 1.0, 0.0]
 
 
 def test_membership_rejects_bad_fuzzifier():
@@ -442,26 +476,71 @@ def test_streamed_row_sums_match_np_sum_per_row(n):
         assert np.array_equal(streamed_sum(rows, chunk), want), chunk
 
 
-@pytest.mark.parametrize("n", [PIXEL_BLOCK - 1, PIXEL_BLOCK, PIXEL_BLOCK + 1, 2 * PIXEL_BLOCK + 37])
+def center_weights(rng, n, c):
+    """(C, N) weights over 12 decades; with C > 1 the last cluster's are all zero."""
+    weights = np.ascontiguousarray(spread(rng, (n, c)).T)  # (N, C) columns, as the old layout held them
+    if c > 1:
+        weights[-1] = 0.0
+    return weights
+
+
+def fed_centers(ds, weights):
+    """``_CenterSums`` fed in runs of 1, 7 and 5,000 pixels in turn, none aligned with PIXEL_BLOCK."""
+    acc = _CenterSums(len(weights), ds.n_pixels, ds.n_channels)
+    cols, start, sizes = ds.pixels.T, 0, [1, 7, 5000]
+    while start < ds.n_pixels:
+        stop = start + sizes[0]
+        acc.feed(weights[:, start:stop], cols[:, start:stop])
+        start, sizes = stop, sizes[1:] + sizes[:1]
+    return acc.centers()
+
+
+def assert_centers(got, dead, weights, want):
+    """Live centers equal ``want`` bit for bit; the all-zero column is dead, a zero row."""
+    live = len(weights) if len(weights) == 1 else len(weights) - 1
+    assert dead == list(range(live, len(weights)))
+    assert np.array_equal(got[:live], want[:live])
+    assert not np.any(got[live:])
+
+
+@pytest.mark.parametrize(
+    "n", [PIXEL_BLOCK - 1, PIXEL_BLOCK, PIXEL_BLOCK + 1, 2 * PIXEL_BLOCK + 37, 100003]
+)
 def test_center_sums_match_numpy_axis0_sums(n):
     rng = np.random.default_rng(n)
     for d in (1, 2, 3, 4):
         px = np.round(rng.uniform(0, 255, (n, d)))
         ds = PixelDataset(pixels=px, width=n, height=1)
-        columns = spread(rng, (n, 5))  # (N, C) weights, as the old layout held them
-        weights = np.ascontiguousarray(columns.T)
-        sums = np.array([np.sum(w[:, None] * px, axis=0) for w in columns.T])
-        totals = np.array([np.sum(w) for w in columns.T])  # strided columns
-        want = sums / totals[:, None]
-        centers, dead = _update_centers_partial(ds, weights)
-        assert dead == []
-        assert np.array_equal(centers, want)
-        # the same accumulator, fed in blocks that do not match PIXEL_BLOCK
-        acc = _CenterSums(5, n, d)
-        for start in range(0, n, 5000):
-            acc.feed(weights[:, start : start + 5000], ds.pixels.T[:, start : start + 5000])
-        got, dead = acc.centers()
-        assert dead == [] and np.array_equal(got, want), d
+        for c in (1, 2, 3, 9):
+            weights = center_weights(rng, n, c)
+            with np.errstate(invalid="ignore", divide="ignore"):  # the dead column's 0/0
+                want = np.array(
+                    [np.sum(w[:, None] * px, axis=0) / np.sum(w) for w in weights]
+                )
+            assert_centers(*_update_centers_partial(ds, weights), weights, want)
+            assert_centers(*fed_centers(ds, weights), weights, want)
+
+
+def test_center_sums_match_a_left_to_right_python_sum():
+    # the numerators against plain float arithmetic, not numpy's axis-0 sum:
+    # ((0 + w0*x0) + w1*x1) + ... ; the totals are numpy's pairwise np.sum
+    n = 300
+    rng = np.random.default_rng(n)
+    for d in (2, 3):
+        px = np.round(rng.uniform(0, 255, (n, d)))
+        ds = PixelDataset(pixels=px, width=n, height=1)
+        for c in (1, 2, 3, 9):
+            weights = center_weights(rng, n, c)
+            want = np.zeros((c, d))
+            for j, w in enumerate(weights.tolist()):
+                total = float(np.sum(weights[j]))
+                for k, x in enumerate(px.T.tolist()):
+                    acc = 0.0
+                    for wi, xi in zip(w, x):
+                        acc += wi * xi
+                    want[j, k] = acc / total if total > 0.0 else 0.0
+            assert_centers(*_update_centers_partial(ds, weights), weights, want)
+            assert_centers(*fed_centers(ds, weights), weights, want)
 
 
 @pytest.mark.parametrize("clusters", [1, 2, 3, 5])
