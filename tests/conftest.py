@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 
+from swarmseg.cli import POOL_START_METHOD
+
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -11,4 +13,5 @@ def pytest_report_header(config):
     # the bitwise tests pin numpy's summation orders and loop choices, which a
     # numpy release may change: a log names the numpy it was checked against
     threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_VARIABLES)
-    return f"numpy {np.__version__}; {threads}"
+    # the worker tests run on the pool's start method, which depends on the host
+    return f"numpy {np.__version__}; {threads}; CLI pool start method {POOL_START_METHOD}"

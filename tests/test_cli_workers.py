@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import multiprocessing
+import os
 import pickle
 import pkgutil
 import subprocess
@@ -93,10 +94,18 @@ def test_no_worker_outlives_main(tmp_path, monkeypatch):
 
 
 def fail_in_the_parent(monkeypatch):
-    """Make every engine the parent runs fail; the spawned workers run the real ones."""
+    """Make every engine the parent runs fail; the workers run the real ones.
+
+    A forked worker inherits the patch, so it fails only in the process
+    that installed it and calls the real ``run_algorithm`` elsewhere.
+    """
     ran = []
+    parent = os.getpid()
+    real = cli.run_algorithm
 
     def run_algorithm(name, *args):
+        if os.getpid() != parent:
+            return real(name, *args)
         ran.append(name)
         raise RuntimeError(f"{name} failed in the parent")
 
@@ -137,6 +146,21 @@ def test_a_worker_failure_before_a_failing_parent_task_wins(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert "only 2 distinct pixel values" in err
     assert "failed in the parent" not in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork on Linux only")
+def test_linux_workers_are_forked_with_the_parents_bindings(monkeypatch):
+    # a spawned worker would import cli afresh and call the real run_algorithm
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "run_algorithm", lambda name: (name, os.getpid()))
+    with cli._engine_results([(name,) for name in swarmseg.ALGORITHMS]) as results:
+        results = list(results)
+    assert [name for name, _ in results] == list(swarmseg.ALGORITHMS)
+    # with W = 2 the one worker takes the even task indices, the parent the odd
+    pids = [pid for _, pid in results]
+    assert pids[1] == pids[3] == os.getpid()
+    assert pids[0] == pids[2] != os.getpid()
     assert multiprocessing.active_children() == []
 
 
