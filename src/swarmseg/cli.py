@@ -7,12 +7,11 @@ Exit codes: 0 success, 1 runtime failure (IO, malformed image, degenerate
 clustering, out of memory), 2 usage error.
 
 ``segment`` runs its one engine in-process. ``compare`` and ``bench`` run
-their engines on one process per usable CPU: the parent plus W - 1
-workers (one pool per invocation; forked on Linux to skip the imports,
-spawned elsewhere), where W is the smaller of the usable CPUs and the
-engine runs. The parent builds every image and report from the results
-in ``ALGORITHMS`` order, so outputs do not depend on the worker count.
-With one usable CPU they run in-process only.
+their engines on W worker processes (one pool per invocation; forked on
+Linux to skip the imports, spawned elsewhere), where W is the smaller of
+the usable CPUs and the engine runs. The parent builds every image and
+report from the results in ``ALGORITHMS`` order, so outputs do not
+depend on the worker count. With one usable CPU they run in-process only.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import islice
@@ -123,10 +121,11 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("inputs", type=Path, nargs="+",
                          help="input PPM (P6) images")
-    p_bench.add_argument("--seeds", type=_seed_list, default=None,
-                         help="comma-separated explicit seed list")
-    p_bench.add_argument("--seed-count", type=_positive_int, default=None,
-                         help="run this many consecutive seeds starting at --seed")
+    seeds = p_bench.add_mutually_exclusive_group(required=True)
+    seeds.add_argument("--seeds", type=_seed_list, default=None,
+                       help="comma-separated explicit seed list")
+    seeds.add_argument("--seed-count", type=_positive_int, default=None,
+                       help="run this many consecutive seeds starting at --seed")
     _add_run_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench, parser=p_bench)
 
@@ -192,46 +191,15 @@ def _run_engine(task: tuple) -> SegmentationResult:
     return run_algorithm(*task)
 
 
-def _run_here(task: tuple):
-    """A finished future holding ``_run_engine(task)`` run in this process, or its exception."""
-    from concurrent.futures import Future
-
-    future = Future()
-    try:
-        future.set_result(_run_engine(task))
-    except Exception as exc:  # raised again where its result is read
-        future.set_exception(exc)
-    return future
-
-
-def _in_task_order(tasks: list[tuple], futures: dict) -> Iterator[SegmentationResult]:
-    """The result of every task in task order; ``futures`` maps a worker's task index to its future.
-
-    The other tasks are the parent's. Whenever the next result is a
-    worker's and not done yet, the parent runs its next task rather than
-    wait, and holds the result until its turn. It runs none after one of
-    its tasks failed, since nothing past a failure is read.
-    """
-    own = deque(i for i in range(len(tasks)) if i not in futures)
-    failed = False
-    for i in range(len(tasks)):
-        while own and not failed and not (i in futures and futures[i].done()):
-            j = own.popleft()
-            futures[j] = _run_here(tasks[j])
-            failed = futures[j].exception() is not None
-        yield futures.pop(i).result()
-
-
 @contextmanager
 def _engine_results(tasks: list[tuple]) -> Iterator[Iterator[SegmentationResult]]:
     """An iterator over the results of ``_run_engine`` on every task, in task order.
 
-    With W the smaller of the usable CPUs and the task count, W - 1
-    workers (forked on Linux to skip the imports, else spawned) take the
-    tasks whose index i has ``i % W != W - 1`` and the parent runs the
-    rest (``_in_task_order``); with W = 1 the parent runs every task, one
-    after another, as the iterator advances. A task's exception is raised
-    when its result is read, so the first failing task's in task order
+    With W the smaller of the usable CPUs and the task count, W pool
+    workers (forked on Linux to skip the imports, else spawned) run every
+    task and the parent reads the results; with W = 1 the parent runs each
+    task in turn as the iterator advances. A task's exception is raised
+    when its result is read, so the first failing task in task order
     reaches the caller, as in-process. No worker outlives the ``with`` block.
     """
     workers = min(_usable_cpus(), len(tasks))
@@ -243,14 +211,9 @@ def _engine_results(tasks: list[tuple]) -> Iterator[Iterator[SegmentationResult]
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context(POOL_START_METHOD)
-    pool = ProcessPoolExecutor(workers - 1, mp_context=context)
+    pool = ProcessPoolExecutor(workers, mp_context=context)
     try:
-        futures = {
-            i: pool.submit(_run_engine, task)
-            for i, task in enumerate(tasks)
-            if i % workers != workers - 1
-        }
-        yield _in_task_order(tasks, futures)
+        yield pool.map(_run_engine, tasks)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -291,10 +254,8 @@ def cmd_bench(args, parser) -> int:
         parser.error("bench requires --report")
     if args.seeds is not None:
         seeds = args.seeds
-    elif args.seed_count is not None:
-        seeds = list(range(args.seed, args.seed + args.seed_count))
     else:
-        parser.error("bench requires --seeds or --seed-count")
+        seeds = list(range(args.seed, args.seed + args.seed_count))
     config, sconfig = _build_configs(args, parser)
     # every seed is checked before the first comparison runs
     try:
@@ -310,7 +271,7 @@ def cmd_bench(args, parser) -> int:
         for task in _engine_tasks(dataset, seed_config, sconfig)
     ]
     # reports are built as results arrive, so no more results are held than
-    # the workers and the parent have finished ahead of the one awaited
+    # the workers have finished ahead of the one awaited
     benchmarks = []
     with _engine_results(tasks) as results:
         for input_path, dataset in zip(args.inputs, datasets):

@@ -198,7 +198,11 @@ def test_every_run_setting_has_a_flag_defaulting_to_its_field():
     ]
     flag_of = {field: flag for flag, _, _, field, _ in cli.RUN_FLAGS}
     parser = cli.make_parser()
-    commands = (["segment", "in.ppm", "out.ppm"], ["compare", "in.ppm", "out"], ["bench", "in.ppm"])
+    commands = (
+        ["segment", "in.ppm", "out.ppm"],
+        ["compare", "in.ppm", "out"],
+        ["bench", "in.ppm", "--seed-count", "1"],  # bench needs a seed flag
+    )
     for argv in commands:
         args = parser.parse_args(argv)
         assert cli._build_configs(args, args.parser) == (ClusterConfig(), SwarmConfig())
@@ -299,11 +303,13 @@ def test_bench_requires_report_and_seeds(tmp_path):
         )
         == 2
     )
-    # a seed past 2**64 - 1 is a usage error before any seed runs
+    # a seed past 2**64 - 1 is a usage error before any seed runs, and
+    # --seeds and --seed-count exclude each other
     report = tmp_path / "r.json"
     for seeds in (
         ["--seeds", f"0,{2**64}"],
         ["--seed", str(2**64 - 1), "--seed-count", "2"],
+        ["--seeds", "3", "--seed-count", "5"],
     ):
         assert run_cli(["bench", str(src), *seeds, "--report", str(report), *FAST]) == 2
         assert not report.exists()

@@ -8,6 +8,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -93,63 +94,89 @@ def test_no_worker_outlives_main(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def fail_in_the_parent(monkeypatch):
-    """Make every engine the parent runs fail; the workers run the real ones.
+LINUX_ONLY = pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="a forked worker inherits the patch only on Linux",
+)
 
-    A forked worker inherits the patch, so it fails only in the process
-    that installed it and calls the real ``run_algorithm`` elsewhere.
-    """
-    ran = []
-    parent = os.getpid()
+
+@LINUX_ONLY
+def test_the_first_failing_task_in_task_order_is_raised(tmp_path, capsys, monkeypatch):
     real = cli.run_algorithm
 
     def run_algorithm(name, *args):
-        if os.getpid() != parent:
-            return real(name, *args)
-        ran.append(name)
-        raise RuntimeError(f"{name} failed in the parent")
+        if name == "apsof":
+            raise RuntimeError("apsof failed")
+        if name == "fcm":
+            time.sleep(0.3)
+            raise RuntimeError("fcm failed")
+        return real(name, *args)
 
-    monkeypatch.setattr(cli, "run_algorithm", run_algorithm)
-    return ran
-
-
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_a_failing_parent_task_is_raised_at_its_position(tmp_path, capsys, monkeypatch, cpus):
     src = tmp_path / "in.ppm"
     write_blob_image(src)
-    use_cpus(monkeypatch, cpus)
-    ran = fail_in_the_parent(monkeypatch)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "run_algorithm", run_algorithm)
     out = tmp_path / "out"
+    # apsof fails first in time, but fcm comes first in task order
     assert run_cli(["compare", str(src), str(out), "--clusters", "3", *FAST]) == 1
-    # the parent's share is every cpus-th engine, and it runs none after a failure
-    first = swarmseg.ALGORITHMS[cpus - 1]
-    assert ran == [first]
-    assert capsys.readouterr().err == f"swarmseg: error: {first} failed in the parent\n"
+    assert capsys.readouterr().err == "swarmseg: error: fcm failed\n"
     assert not (out / "report.json").exists()
     assert multiprocessing.active_children() == []
-    ran.clear()
+    report = tmp_path / "bench.json"
     argv = ["bench", str(src), "--seeds", "0,1", "--clusters", "3",
-            "--report", str(tmp_path / "bench.json"), *FAST]
+            "--report", str(report), *FAST]
     assert run_cli(argv) == 1
-    assert ran == [first]
-    assert not (tmp_path / "bench.json").exists()
+    assert capsys.readouterr().err == "swarmseg: error: fcm failed\n"
+    assert not report.exists()
     assert multiprocessing.active_children() == []
 
 
-def test_a_worker_failure_before_a_failing_parent_task_wins(tmp_path, capsys, monkeypatch):
+@LINUX_ONLY
+@pytest.mark.parametrize("message", ["", "Unable to allocate 12.0 GiB for an array"])
+def test_a_workers_out_of_memory_reads_as_in_process(tmp_path, capsys, monkeypatch, message):
+    def run_algorithm(*args):
+        raise MemoryError(message)
+
     src = tmp_path / "in.ppm"
-    write_block_image(src, colors=((250, 10, 10), (10, 250, 10)))
-    use_cpus(monkeypatch, 2)
-    fail_in_the_parent(monkeypatch)
-    assert run_cli(["compare", str(src), str(tmp_path / "out"), "--clusters", "3", *FAST]) == 1
-    # k-means, the first task, is a worker's; the parent's fcm fails after it
-    err = capsys.readouterr().err
-    assert "only 2 distinct pixel values" in err
-    assert "failed in the parent" not in err
+    write_block_image(src)
+    monkeypatch.setattr(cli, "run_algorithm", run_algorithm)
+    stderr = []
+    for count in (1, 2):
+        use_cpus(monkeypatch, count)
+        out = tmp_path / f"out{count}"
+        assert run_cli(["compare", str(src), str(out), "--clusters", "3", *FAST]) == 1
+        assert not (out / "report.json").exists()
+        stderr.append(capsys.readouterr().err)
+    assert stderr[0] == stderr[1]
+    assert stderr[1] == f"swarmseg: error: out of memory{': ' + message if message else ''}\n"
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork on Linux only")
+@LINUX_ONLY
+def test_a_worker_that_dies_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    real = cli.run_algorithm
+
+    def run_algorithm(name, *args):
+        if name == "psofcm":
+            os._exit(3)
+        return real(name, *args)
+
+    src = tmp_path / "in.ppm"
+    write_blob_image(src)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "run_algorithm", run_algorithm)
+    out = tmp_path / "out"
+    assert run_cli(["compare", str(src), str(out), "--clusters", "3", *FAST]) == 1
+    # the pool reports the lost worker as BrokenProcessPool, a RuntimeError
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "swarmseg: error: A process in the process pool was terminated abruptly"
+    )
+    assert not (out / "report.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+@LINUX_ONLY
 def test_linux_workers_are_forked_with_the_parents_bindings(monkeypatch):
     # a spawned worker would import cli afresh and call the real run_algorithm
     use_cpus(monkeypatch, 2)
@@ -157,10 +184,8 @@ def test_linux_workers_are_forked_with_the_parents_bindings(monkeypatch):
     with cli._engine_results([(name,) for name in swarmseg.ALGORITHMS]) as results:
         results = list(results)
     assert [name for name, _ in results] == list(swarmseg.ALGORITHMS)
-    # with W = 2 the one worker takes the even task indices, the parent the odd
-    pids = [pid for _, pid in results]
-    assert pids[1] == pids[3] == os.getpid()
-    assert pids[0] == pids[2] != os.getpid()
+    # every task runs in a worker; the parent only reads the results
+    assert all(pid != os.getpid() for _, pid in results)
     assert multiprocessing.active_children() == []
 
 
