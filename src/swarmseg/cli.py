@@ -41,48 +41,42 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return value
-
-
 def _seed_list(text: str) -> list[int]:
     try:
         seeds = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad seed list {text!r}")
-    if not seeds or any(s < 0 for s in seeds):
-        raise argparse.ArgumentTypeError("seed list must be non-negative integers")
+    if not seeds:
+        raise argparse.ArgumentTypeError("seed list must not be empty")
     return seeds
 
 
-# One row per run setting: (flag, parse type, config class, field, help).
-# Each flag's dest is its field and its default the field's default.
+# One row per run setting: (flag, config class, field, help). Each flag's
+# dest is its field, its default the field's default, and its type that
+# default's type. The config class is the only check on a flag's value:
+# ``_build_configs`` reports its error as a usage error.
 RUN_FLAGS = (
-    ("--clusters", _positive_int, ClusterConfig, "cluster_count", "number of clusters C"),
-    ("--seed", _nonnegative_int, ClusterConfig, "seed", "random seed"),
-    ("--fuzzifier", float, ClusterConfig, "fuzzifier", "fuzzy exponent m > 1"),
-    ("--swarm-size", _positive_int, SwarmConfig, "swarm_size", "particles in the swarm"),
-    ("--iters", _positive_int, SwarmConfig, "n_max", "maximum swarm iterations"),
-    ("--w-max", float, SwarmConfig, "w_max", "maximum inertia weight"),
-    ("--w-min", float, SwarmConfig, "w_min", "minimum inertia weight"),
-    ("--c1-init", float, SwarmConfig, "c1_init", "initial cognitive factor"),
-    ("--c1-final", float, SwarmConfig, "c1_final", "final cognitive factor"),
-    ("--c2-init", float, SwarmConfig, "c2_init", "initial social factor"),
-    ("--c2-final", float, SwarmConfig, "c2_final", "final social factor"),
-    ("--variance-tol", float, SwarmConfig, "variance_tol",
-     "relative fitness-variance stop threshold"),
-    ("--vmax-frac", float, SwarmConfig, "v_max_fraction",
-     "velocity cap as a fraction of the 255 range"),
+    ("--clusters", ClusterConfig, "cluster_count", "number of clusters C"),
+    ("--seed", ClusterConfig, "seed", "random seed"),
+    ("--fuzzifier", ClusterConfig, "fuzzifier", "fuzzy exponent m > 1"),
+    ("--swarm-size", SwarmConfig, "swarm_size", "particles in the swarm"),
+    ("--iters", SwarmConfig, "n_max", "maximum swarm iterations"),
+    ("--w-max", SwarmConfig, "w_max", "maximum inertia weight"),
+    ("--w-min", SwarmConfig, "w_min", "minimum inertia weight"),
+    ("--c1-init", SwarmConfig, "c1_init", "initial cognitive factor"),
+    ("--c1-final", SwarmConfig, "c1_final", "final cognitive factor"),
+    ("--c2-init", SwarmConfig, "c2_init", "initial social factor"),
+    ("--c2-final", SwarmConfig, "c2_final", "final social factor"),
+    ("--variance-tol", SwarmConfig, "variance_tol", "relative fitness-variance stop threshold"),
+    ("--vmax-frac", SwarmConfig, "v_max_fraction", "velocity cap as a fraction of the 255 range"),
 )
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    for flag, parse, owner, field, text in RUN_FLAGS:
+    for flag, owner, field, text in RUN_FLAGS:
         # a dataclass keeps each field's default as its class attribute
-        parser.add_argument(flag, type=parse, dest=field, default=getattr(owner, field),
+        default = getattr(owner, field)
+        parser.add_argument(flag, type=type(default), dest=field, default=default,
                             help=f"{text} (default %(default)s)")
     parser.add_argument("--max-side", type=_positive_int, default=None,
                         help="downscale so the longer image side is at most this")
@@ -138,7 +132,7 @@ def _build_configs(
     """Build each config from its rows of ``RUN_FLAGS``; bad values are usage errors."""
     try:
         return tuple(
-            cls(**{field: getattr(args, field) for _, _, owner, field, _ in RUN_FLAGS
+            cls(**{field: getattr(args, field) for _, owner, field, _ in RUN_FLAGS
                    if owner is cls})
             for cls in (ClusterConfig, SwarmConfig)
         )

@@ -97,6 +97,32 @@ def require_integer(name: str, value, error: type[ValueError] = ValueError) -> N
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
+def check_cluster_count(count) -> None:
+    """Raise ``InvalidClusterCountError`` unless ``count`` is an integer >= 1."""
+    require_integer("cluster_count", count, InvalidClusterCountError)
+    if count < 1:
+        raise InvalidClusterCountError(f"cluster_count must be >= 1, got {count}")
+
+
+def check_fuzzifier(fuzzifier: float) -> None:
+    """Raise ``InvalidFuzzifierError`` unless 1 < ``fuzzifier`` < inf (so NaN too)."""
+    if not 1.0 < fuzzifier < math.inf:
+        raise InvalidFuzzifierError(f"fuzzifier must be finite and > 1, got {fuzzifier}")
+
+
+def reseed_streak(streak: int, slots: list[int], limit: int, kind: str) -> int:
+    """Reseeding steps in a row: 0 when ``slots`` is empty, else ``streak + 1``.
+
+    Past ``limit`` the run gives up: ``DegenerateClusteringError`` names the ``kind`` of cluster.
+    """
+    if not slots:
+        return 0
+    streak += 1
+    if streak > limit:
+        raise DegenerateClusteringError(f"{kind} clusters recurred {streak} times in a row")
+    return streak
+
+
 @dataclass(frozen=True)
 class PixelDataset:
     """Flat array of color points plus the image geometry they came from.
@@ -158,17 +184,10 @@ class ClusterConfig:
     seed: int = 42
 
     def __post_init__(self):
-        require_integer("cluster_count", self.cluster_count, InvalidClusterCountError)
+        check_cluster_count(self.cluster_count)
         require_integer("fcm_max_iters", self.fcm_max_iters)
         require_integer("seed", self.seed)
-        if self.cluster_count < 1:
-            raise InvalidClusterCountError(
-                f"cluster_count must be >= 1, got {self.cluster_count}"
-            )
-        if not 1.0 < self.fuzzifier < math.inf:
-            raise InvalidFuzzifierError(
-                f"fuzzifier must be finite and > 1, got {self.fuzzifier}"
-            )
+        check_fuzzifier(self.fuzzifier)
         if self.fcm_max_iters < 1:
             raise ValueError("fcm_max_iters must be positive")
         if not 0.0 < self.fcm_rel_tol < math.inf:
@@ -511,7 +530,9 @@ def sample_distinct_pixels(
     Pixel indices are visited in a seeded random permutation and kept only
     when their value has not been taken yet, so frequent colors are
     proportionally more likely to be picked while duplicates are impossible.
+    A ``count`` that is not an integer >= 1 raises ``InvalidClusterCountError``.
     """
+    check_cluster_count(count)
     px = dataset.pixels
     chosen: list[np.ndarray] = []
     seen: set[bytes] = set()

@@ -30,12 +30,13 @@ from .core import (
     PIXEL_BLOCK,
     ClusterConfig,
     DeadClusterError,
-    DegenerateClusteringError,
     PixelDataset,
     _aligned_empty,
     _distance_blocks,
+    check_fuzzifier,
     min_squared_distances,
     reseed_farthest,
+    reseed_streak,
     squared_distances,
     validate_config,
 )
@@ -75,10 +76,10 @@ def compute_memberships(
     become crisp: 1 on the first such center, 0 elsewhere. Distances are
     normalized by each row's minimum before exponentiation so large
     exponents cannot overflow. The result is the transpose of a (C, N)
-    array, filled one ``_Sweep`` block at a time.
+    array, filled one ``_Sweep`` block at a time. A fuzzifier outside
+    (1, inf) raises ``InvalidFuzzifierError``.
     """
-    if not fuzzifier > 1.0:
-        raise ValueError("fuzzifier must be > 1")
+    check_fuzzifier(fuzzifier)
     centers = np.asarray(centers, dtype=np.float64)
     out = np.empty((len(centers), dataset.n_pixels))
     for start, _, u in _Sweep(dataset, len(centers), fuzzifier).memberships(centers):
@@ -271,11 +272,11 @@ def update_centers(
 
     c_j = sum_i u_ij^m x_i / sum_i u_ij^m. Raises :class:`DeadClusterError`
     when some column's total weight underflows to zero; the iterative loop
-    recovers from that, a direct caller cannot.
+    recovers from that, a direct caller cannot. A fuzzifier outside (1, inf)
+    raises ``InvalidFuzzifierError``.
     """
+    check_fuzzifier(fuzzifier)
     u = np.asarray(memberships, dtype=np.float64)
-    if not fuzzifier > 1.0:
-        raise ValueError("fuzzifier must be > 1")
     if u.shape[0] != dataset.n_pixels:
         raise ValueError("membership rows must match the pixel count")
     weights = np.array(u.T, dtype=np.float64, order="C")
@@ -313,8 +314,9 @@ def fcm_objective(
     """Membership-weighted sum of squared pixel-to-center distances.
 
     ``memberships`` is (N, C); the sum runs over the (N, C) product in C
-    order.
+    order. A fuzzifier outside (1, inf) raises ``InvalidFuzzifierError``.
     """
+    check_fuzzifier(fuzzifier)
     d2 = squared_distances(dataset.pixels, np.asarray(centers, dtype=np.float64))
     d2 *= np.asarray(memberships, dtype=np.float64) ** fuzzifier
     return float(np.sum(d2))
@@ -409,9 +411,9 @@ def run_fcm(
     its previous value, or after ``fcm_max_iters`` alternations. Dead
     clusters are re-seeded to the farthest poorly-covered pixel; if recovery
     is needed in more than C consecutive alternations the instance is
-    declared degenerate. Each alternation is one ``_Sweep`` over the pixel
-    blocks, and a last one at the final centers gives the labels, so the
-    run's memory beyond the labels is a few blocks.
+    declared degenerate (``reseed_streak``). Each alternation is one
+    ``_Sweep`` over the pixel blocks, and a last one at the final centers
+    gives the labels, so the run's memory beyond the labels is a few blocks.
     """
     validate_config(config, dataset)
     centers = np.array(initial_centers, dtype=np.float64)
@@ -423,7 +425,7 @@ def run_fcm(
     sums = _CenterSums(config.cluster_count, dataset.n_pixels, dataset.n_channels)
     trajectory: list[float] = []
     converged = False
-    consecutive_dead = 0
+    streak = 0
 
     for iteration in range(config.fcm_max_iters + 1):
         jm = sweep.objective(centers, sums)
@@ -434,15 +436,9 @@ def run_fcm(
         if converged or iteration == config.fcm_max_iters:
             break
         centers, dead = sums.centers()
+        streak = reseed_streak(streak, dead, config.cluster_count, "dead")
         if dead:
-            consecutive_dead += 1
-            if consecutive_dead > config.cluster_count:
-                raise DegenerateClusteringError(
-                    f"dead clusters recurred {consecutive_dead} times in a row"
-                )
             centers = _reseed_dead(dataset, centers, dead)
-        else:
-            consecutive_dead = 0
 
     labels = sweep.labels(centers)
     centers = np.clip(centers, 0.0, 255.0)

@@ -14,10 +14,10 @@ import numpy as np
 
 from .core import (
     ClusterConfig,
-    DegenerateClusteringError,
     PixelDataset,
     _nearest,
     reseed_farthest,
+    reseed_streak,
     sample_distinct_pixels,
     validate_config,
 )
@@ -43,7 +43,7 @@ def run_kmeans(dataset: PixelDataset, config: ClusterConfig) -> KmeansResult:
     Centers start at C pixels with distinct values drawn from the seeded
     generator. Empty clusters are re-seeded to the pixel farthest from its
     assigned center; if that recurs more than C times in a row the instance
-    is declared degenerate.
+    is declared degenerate (``reseed_streak``).
     """
     validate_config(config, dataset)
     rng = np.random.default_rng(config.seed)
@@ -53,7 +53,7 @@ def run_kmeans(dataset: PixelDataset, config: ClusterConfig) -> KmeansResult:
     prev_labels: np.ndarray | None = None
     trajectory: list[float] = []
     converged = False
-    consecutive_empty = 0
+    streak = 0
 
     for iteration in range(_MAX_ITERS + 1):
         labels, dist_to_assigned = _nearest(dataset, centers)
@@ -80,15 +80,9 @@ def run_kmeans(dataset: PixelDataset, config: ClusterConfig) -> KmeansResult:
                 axis=1,
             )
             np.divide(sums, counts[:, None], out=new_centers, where=counts[:, None] > 0)
+        streak = reseed_streak(streak, empty, c, "empty")
         if empty:
-            consecutive_empty += 1
-            if consecutive_empty > c:
-                raise DegenerateClusteringError(
-                    f"empty clusters recurred {consecutive_empty} times in a row"
-                )
             new_centers = reseed_farthest(dataset, new_centers, empty, dist_to_assigned)
-        else:
-            consecutive_empty = 0
         centers = new_centers
 
     centers = np.clip(centers, 0.0, 255.0)

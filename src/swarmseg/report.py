@@ -11,12 +11,13 @@ are normalized by their mean so each pair sums to exactly 2. A pair like
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import PixelDataset
+from .core import PixelDataset, check_fuzzifier
 from .fcm import _Sweep
 from .pipeline import SegmentationResult
 
@@ -60,10 +61,10 @@ def normalized_jm_pair(jm_a: float, jm_b: float) -> tuple[float, float]:
     """Divide both values by their mean; the outputs always sum to 2.
 
     Raises UndefinedNormalizationError when both inputs are zero and
-    ValueError when either is negative.
+    ValueError when either is negative or not finite.
     """
-    if jm_a < 0.0 or jm_b < 0.0:
-        raise ValueError("objective values must be non-negative")
+    if not (0.0 <= jm_a < math.inf and 0.0 <= jm_b < math.inf):
+        raise ValueError(f"objective values must be finite and non-negative, got {jm_a}, {jm_b}")
     avg = (jm_a + jm_b) / 2.0
     if avg == 0.0:
         raise UndefinedNormalizationError(
@@ -78,10 +79,10 @@ def evaluate_jm(
     """Fuzzy objective of a center set at its own optimal memberships.
 
     This is the single metric used to compare algorithms, including ones
-    (like k-means) that never computed memberships themselves.
+    (like k-means) that never computed memberships themselves. A fuzzifier
+    outside (1, inf) raises ``InvalidFuzzifierError``.
     """
-    if not fuzzifier > 1.0:
-        raise ValueError("fuzzifier must be > 1")
+    check_fuzzifier(fuzzifier)
     centers = np.asarray(centers, dtype=np.float64)
     return _Sweep(dataset, len(centers), fuzzifier).objective(centers)
 

@@ -317,8 +317,8 @@ def run_swarm(
         if pbest_fitness[best] < gbest_fitness:
             gbest, gbest_fitness = pbest[best].copy(), float(pbest_fitness[best])
 
+    # in range already: every position is a pixel or was clipped in ``_step``
     centers = gbest.reshape(config.cluster_count, dataset.n_channels)
-    centers = np.clip(centers, POSITION_LO, POSITION_HI)
     history = SwarmHistory(
         gbest_fitness=np.array(gbest_hist),
         f_avg=np.array(favg_hist),

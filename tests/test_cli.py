@@ -169,24 +169,44 @@ def test_non_finite_swarm_coefficient_is_a_usage_error(tmp_path):
     assert code == 2
 
 
+SEED_RANGE = "seed must fit in an unsigned 64-bit integer"
+BAD_CONFIG_VALUES = [
+    ("segment", ["--fuzzifier", "1.0"], "fuzzifier must be finite and > 1, got 1.0"),
+    ("compare", ["--c1-init", "nan"], "c1_init must be finite"),
+    ("bench", ["--seeds", f"0,{2**64}"], SEED_RANGE),
+    ("bench", ["--seed", str(2**64 - 1), "--seed-count", "2"], SEED_RANGE),
+    ("segment", ["--clusters", "0"], "cluster_count must be >= 1, got 0"),
+    ("segment", ["--seed", "-1"], SEED_RANGE),
+    ("compare", ["--iters", "0"], "n_max must be positive"),
+    ("bench", ["--seeds=-1,2"], SEED_RANGE),
+]
+
+
 @pytest.mark.parametrize(
-    "command, flags",
-    [
-        ("segment", ["--fuzzifier", "1.0"]),
-        ("compare", ["--c1-init", "nan"]),
-        ("bench", ["--seeds", f"0,{2**64}"]),
-        ("bench", ["--seed", str(2**64 - 1), "--seed-count", "2"]),
-    ],
+    "command, flags, message",
+    BAD_CONFIG_VALUES,
+    ids=[f"{command}-flags{i}" for i, (command, _, _) in enumerate(BAD_CONFIG_VALUES)],
 )
-def test_a_bad_config_value_shows_its_subcommands_usage(tmp_path, capsys, command, flags):
+def test_a_bad_config_value_shows_its_subcommands_usage(
+    tmp_path, capsys, command, flags, message
+):
+    # the config class's own words, for int flags as for float ones
     src = tmp_path / "in.ppm"
     write_block_image(src)
     out = [] if command == "bench" else [str(tmp_path / "out")]
     report = ["--report", str(tmp_path / "r.json")] if command == "bench" else []
-    assert run_cli([command, str(src), *out, *flags, *report, *FAST]) == 2
+    # after FAST, which sets --iters too
+    assert run_cli([command, str(src), *out, *report, *FAST, *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage: swarmseg {command} ")
-    assert f"swarmseg {command}: error: " in err
+    assert f"swarmseg {command}: error: {message}\n" in err
+
+
+def test_every_run_flag_parses_to_its_fields_type():
+    parser = cli.make_parser()
+    for flag, owner, field, _ in cli.RUN_FLAGS:
+        args = parser.parse_args(["segment", "in.ppm", "out.ppm", flag, "3"])
+        assert type(getattr(args, field)) is type(getattr(owner, field)), flag
 
 
 def test_every_run_setting_has_a_flag_defaulting_to_its_field():
@@ -196,7 +216,7 @@ def test_every_run_setting_has_a_flag_defaulting_to_its_field():
         (ClusterConfig, f) for f in fields(ClusterConfig)
         if f.name in ("cluster_count", "seed", "fuzzifier")
     ]
-    flag_of = {field: flag for flag, _, _, field, _ in cli.RUN_FLAGS}
+    flag_of = {field: flag for flag, _, field, _ in cli.RUN_FLAGS}
     parser = cli.make_parser()
     commands = (
         ["segment", "in.ppm", "out.ppm"],

@@ -12,6 +12,7 @@ from swarmseg.core import (
     CENTER_SETS_PER_SWEEP,
     PIXEL_BLOCK,
     ClusterConfig,
+    DegenerateClusteringError,
     InvalidClusterCountError,
     InvalidFuzzifierError,
     PixelDataset,
@@ -22,11 +23,12 @@ from swarmseg.core import (
     assign_nearest,
     min_squared_distances,
     quantization_errors,
+    reseed_streak,
     sample_distinct_pixels,
     squared_distances,
     validate_config,
 )
-from swarmseg.fcm import compute_memberships, run_fcm
+from swarmseg.fcm import compute_memberships, fcm_objective, run_fcm, update_centers
 from swarmseg.imaging import to_dataset
 from swarmseg.report import evaluate_jm
 from swarmseg.synthetic import gaussian_blob_image
@@ -159,6 +161,42 @@ def test_cluster_config_validation():
         cluster_count=np.int64(3), fcm_max_iters=np.int32(7), seed=np.uint64(9)
     )
     assert (cfg.cluster_count, cfg.fcm_max_iters, cfg.seed) == (3, 7, 9)
+
+
+FUZZIFIER_ENTRY_POINTS = {
+    "ClusterConfig": lambda ds, m: ClusterConfig(fuzzifier=m),
+    "compute_memberships": lambda ds, m: compute_memberships(ds, np.array([[0.0], [3.0]]), m),
+    "update_centers": lambda ds, m: update_centers(ds, np.full((3, 2), 0.5), m),
+    "fcm_objective": lambda ds, m: fcm_objective(
+        ds, np.array([[0.0], [3.0]]), np.full((3, 2), 0.5), m
+    ),
+    "evaluate_jm": lambda ds, m: evaluate_jm(ds, np.array([[0.0], [3.0]]), m),
+}
+
+
+@pytest.mark.parametrize("fuzzifier", [1.0, np.inf, np.nan])
+@pytest.mark.parametrize("entry", sorted(FUZZIFIER_ENTRY_POINTS))
+def test_every_fuzzifier_entry_point_rejects_values_outside_one_to_infinity(entry, fuzzifier):
+    ds = scalar_dataset([0.0, 1.0, 3.0])
+    with pytest.raises(InvalidFuzzifierError, match="fuzzifier must be finite and > 1"):
+        FUZZIFIER_ENTRY_POINTS[entry](ds, fuzzifier)
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.0])
+def test_sample_distinct_pixels_rejects_a_bad_count_as_the_config_does(count):
+    ds = scalar_dataset([0.0, 1.0, 2.0])
+    with pytest.raises(InvalidClusterCountError):
+        sample_distinct_pixels(ds, count, np.random.default_rng(0))
+    with pytest.raises(InvalidClusterCountError):
+        ClusterConfig(cluster_count=count)
+
+
+def test_reseed_streak_counts_steps_in_a_row_and_gives_up_past_the_limit():
+    assert reseed_streak(2, [], 3, "dead") == 0
+    assert reseed_streak(0, [1], 3, "dead") == 1
+    assert reseed_streak(2, [0, 2], 3, "dead") == 3
+    with pytest.raises(DegenerateClusteringError, match="^empty clusters recurred 4 times in a row$"):
+        reseed_streak(3, [1], 3, "empty")
 
 
 def test_validate_config_against_dataset():

@@ -74,6 +74,15 @@ def test_normalized_pair_rejects_negatives():
         normalized_jm_pair(1.0, -4.0)
 
 
+@pytest.mark.parametrize(
+    "a, b", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf), (np.inf, np.inf)]
+)
+def test_normalized_pair_rejects_non_finite_values(a, b):
+    # the pair would reach the report as NaN or Infinity, which is not JSON
+    with pytest.raises(ValueError, match="must be finite"):
+        normalized_jm_pair(a, b)
+
+
 def test_evaluate_jm_oracle():
     ds = scalar_dataset([0.0])
     assert abs(evaluate_jm(ds, np.array([[1.0], [3.0]])) - 0.9) <= 1e-12
