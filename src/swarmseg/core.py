@@ -19,7 +19,8 @@ channel rows without a copy. The distance kernel reads (d, B) blocks of
 those rows, and its distances come out as (C, B), one contiguous row per
 center. ``squared_distances`` transposes them into the public (N, C)
 layout. FCM's alternation and the nearest-center pass (``_nearest``) take
-them one (C, B) block at a time and hold no (N, C) array.
+them one (C, B) block at a time and hold no (N, C) array. Both label pixels
+by one strict-comparison chain, ``_first_best``, ties to the lowest index.
 
 The swarm's fitness, ``quantization_errors``, is a bounded nearest-center
 pass: with more than one block, it scores in each block only the centers
@@ -304,13 +305,15 @@ def _distance_blocks(
     of ``points.T``, contiguous rows for a dataset's pixels, into
     ``work[0]``, which the next block overwrites; ``work[1]`` is the
     kernel's scratch. ``work`` holds two (C, min(N, PIXEL_BLOCK)) arrays,
-    allocated when not given. Centers not d wide or not finite raise
-    ``ValueError``.
+    allocated when not given. Centers that are not a non-empty (C, d) array
+    or not finite raise ``ValueError``.
     """
     cols = points.T
     d, n = cols.shape
-    if centers.shape[-1] != d:
-        raise ValueError(f"centers are {centers.shape[-1]} wide but the pixels have {d} channels")
+    if centers.ndim != 2 or centers.shape[0] < 1:
+        raise ValueError("centers must be a non-empty (C, d) array")
+    if centers.shape[1] != d:
+        raise ValueError(f"centers are {centers.shape[1]} wide but the pixels have {d} channels")
     if not np.all(np.isfinite(centers)):
         raise ValueError("centers must be finite")
     if work is None:
@@ -336,22 +339,31 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _first_best(rows, labels, best, better=np.less, keep=np.minimum) -> None:
+    """Each column's first best row of the (R, b) ``rows``: index to ``labels``, value to ``best``.
+
+    Only a strictly ``better`` row moves a label, so ties keep the lowest index:
+    for rows without NaN, axis-0 ``argmin``/``min`` bit for bit, or ``argmax``/``max``.
+    """
+    labels.fill(0)
+    np.copyto(best, rows[0])
+    for j in range(1, len(rows)):
+        np.copyto(labels, j, where=better(rows[j], best))
+        keep(best, rows[j], out=best)
+
+
 def _nearest(dataset: PixelDataset, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each pixel's nearest center: its index and squared distance, two (N,) arrays.
 
-    The argmin (lowest index on ties) and minimum over the centers of each
-    (C, b) kernel block: the row argmin and minimum of ``squared_distances``
-    exactly, with no (N, C) array. ``centers`` must be a non-empty (C, d) array.
+    Exactly the row argmin and minimum of ``squared_distances``, from
+    ``_first_best`` over each (C, b) kernel block, with no (N, C) array.
     """
     centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[0] < 1:
-        raise ValueError("centers must be a non-empty (C, d) array")
     labels = np.empty(dataset.n_pixels, dtype=np.intp)
     mins = np.empty(dataset.n_pixels)
     for start, block in _distance_blocks(dataset.pixels, centers):
         stop = start + block.shape[1]
-        block.argmin(axis=0, out=labels[start:stop])
-        block.min(axis=0, out=mins[start:stop])
+        _first_best(block, labels[start:stop], mins[start:stop])
     return labels, mins
 
 

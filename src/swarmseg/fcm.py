@@ -10,8 +10,8 @@ makes one pass over the pixel blocks per alternation (``_Sweep``): each
 channel-major (C, b) block of the distance kernel, one contiguous row per
 cluster, becomes memberships, weights u**m and its share of J_m and of the
 center sums before the next block is read, so the loop holds no array of
-N·C values. Minima, ``any`` and ``argmax`` across clusters are exact in any
-order, so they are numpy's own or (the labels) an equal running maximum.
+N·C values. Minima and ``any`` across clusters are exact in any order and
+numpy's own; the labels come from ``core._first_best``, ties to the lowest index.
 Each sum replays the order in which numpy sums the whole (N, C) arrays
 (``_cluster_sums``, ``_StreamedSum``, ``_CenterSums``), so the blocks give
 the same bits. The center numerators' running sums are carried by
@@ -33,6 +33,7 @@ from .core import (
     PixelDataset,
     _aligned_empty,
     _distance_blocks,
+    _first_best,
     check_fuzzifier,
     min_squared_distances,
     reseed_farthest,
@@ -273,13 +274,12 @@ def update_centers(
     c_j = sum_i u_ij^m x_i / sum_i u_ij^m. Raises :class:`DeadClusterError`
     when some column's total weight underflows to zero; the iterative loop
     recovers from that, a direct caller cannot. A fuzzifier outside (1, inf)
-    raises ``InvalidFuzzifierError``.
+    raises ``InvalidFuzzifierError``, memberships that are not an (N, C)
+    array of finite entries >= 0 ``ValueError``.
     """
     check_fuzzifier(fuzzifier)
-    u = np.asarray(memberships, dtype=np.float64)
-    if u.shape[0] != dataset.n_pixels:
-        raise ValueError("membership rows must match the pixel count")
-    weights = np.array(u.T, dtype=np.float64, order="C")
+    u = _checked_memberships(memberships, dataset.n_pixels)
+    weights = np.array(u.T, order="C")
     weights **= fuzzifier
     centers, dead = _update_centers_partial(dataset, weights)
     if dead:
@@ -313,13 +313,29 @@ def fcm_objective(
 ) -> float:
     """Membership-weighted sum of squared pixel-to-center distances.
 
-    ``memberships`` is (N, C); the sum runs over the (N, C) product in C
-    order. A fuzzifier outside (1, inf) raises ``InvalidFuzzifierError``.
+    ``memberships`` is (N, C), finite and >= 0, else ``ValueError``; the
+    sum runs over the (N, C) product in C order. A fuzzifier outside
+    (1, inf) raises ``InvalidFuzzifierError``.
     """
     check_fuzzifier(fuzzifier)
     d2 = squared_distances(dataset.pixels, np.asarray(centers, dtype=np.float64))
-    d2 *= np.asarray(memberships, dtype=np.float64) ** fuzzifier
+    d2 *= _checked_memberships(memberships, dataset.n_pixels, d2.shape[1]) ** fuzzifier
     return float(np.sum(d2))
+
+
+def _checked_memberships(memberships, n_pixels: int, clusters: int | None = None) -> np.ndarray:
+    """``memberships`` as a float64 array, checked: (N, C) with C >= 1, finite and >= 0.
+
+    With ``clusters`` given, C must equal it. Anything else raises ``ValueError``.
+    """
+    u = np.asarray(memberships, dtype=np.float64)
+    if u.ndim != 2 or u.shape[0] != n_pixels or u.shape[1] < 1:
+        raise ValueError(f"memberships must be an ({n_pixels}, C) array with C >= 1, got {u.shape}")
+    if clusters is not None and u.shape[1] != clusters:
+        raise ValueError(f"memberships have {u.shape[1]} columns but there are {clusters} centers")
+    if not np.all(np.isfinite(u)) or u.min() < 0.0:
+        raise ValueError("memberships must be finite and >= 0")
+    return u
 
 
 class _Sweep:
@@ -345,25 +361,12 @@ class _Sweep:
             yield start, d2, u
 
     def labels(self, centers: np.ndarray) -> np.ndarray:
-        """Each pixel's cluster of largest membership at ``centers``, lowest index on ties.
-
-        ``np.argmax`` over each block's rows, computed as a strict ``>``
-        chain: a label moves to row j only where row j exceeds the running
-        maximum. Memberships are finite, so ties keep the lowest index as
-        ``argmax`` does.
-        """
+        """Each pixel's cluster of largest membership: ``_first_best`` with ``np.greater``."""
         labels = np.empty(self.dataset.n_pixels, dtype=np.intp)
         best = np.empty(self.u.shape[1])
-        larger = np.empty(self.u.shape[1], dtype=bool)
         for start, _, u in self.memberships(centers):
             b = u.shape[1]
-            out, top, gt = labels[start : start + b], best[:b], larger[:b]
-            out.fill(0)
-            np.copyto(top, u[0])
-            for j in range(1, len(u)):
-                np.greater(u[j], top, out=gt)
-                np.copyto(out, j, where=gt)
-                np.maximum(top, u[j], out=top)
+            _first_best(u, labels[start : start + b], best[:b], np.greater, np.maximum)
         return labels
 
     def objective(self, centers: np.ndarray, sums: _CenterSums | None = None) -> float:

@@ -167,12 +167,15 @@ def reconstruct_quantized(
 ) -> RawImage:
     """Render the segmentation: each pixel takes its cluster's prototype color.
 
-    Center components are rounded half-up and clamped to [0, 255].
+    Center components are rounded half-up and clamped to [0, 255]; centers
+    that are not a finite (C, 3) array raise ``ValueError``.
     """
     labels = np.asarray(labels)
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[1] != 3:
         raise ValueError("centers must be a (C, 3) array for image reconstruction")
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("centers must be finite")
     if labels.shape != (dataset.n_pixels,):
         raise ValueError(
             f"labels length {labels.shape} does not match pixel count "

@@ -18,6 +18,7 @@ from swarmseg.core import (
     PixelDataset,
     TooManyClustersError,
     _count_distinct,
+    _first_best,
     _Fitness,
     _kept_rows,
     assign_nearest,
@@ -305,6 +306,48 @@ def test_centers_must_be_finite(entry, bad):
     centers[1, 2] = bad
     with pytest.raises(ValueError, match="centers must be finite"):
         CENTER_ENTRY_POINTS[entry](ds, centers)
+
+
+# the entry points that reach ``_distance_blocks``, the one non-empty (C, d) check
+DISTANCE_BLOCK_ENTRY_POINTS = {
+    "squared_distances", "min_squared_distances", "assign_nearest",
+    "compute_memberships", "evaluate_jm",
+}
+
+
+@pytest.mark.parametrize("shape", [(3,), (0, 3)], ids=["1-d", "no-rows"])
+@pytest.mark.parametrize("entry", sorted(CENTER_ENTRY_POINTS))
+def test_centers_must_be_a_non_empty_matrix(entry, shape):
+    rng = np.random.default_rng(4)
+    ds = PixelDataset(pixels=rng.uniform(0, 255, (50, 3)), width=50, height=1)
+    centers = rng.uniform(0, 255, shape)
+    message = r"non-empty \(C, d\)" if entry in DISTANCE_BLOCK_ENTRY_POINTS else None
+    with pytest.raises(ValueError, match=message):
+        CENTER_ENTRY_POINTS[entry](ds, centers)
+
+
+@pytest.mark.parametrize("b", [PIXEL_BLOCK, 37])
+@pytest.mark.parametrize(
+    "chain, arg, best",
+    [({}, np.argmin, np.min), ({"better": np.greater, "keep": np.maximum}, np.argmax, np.max)],
+    ids=["min", "max"],
+)
+def test_first_best_is_the_first_arg_best_and_best_on_axis_0(chain, arg, best, b):
+    rng = np.random.default_rng(b)
+    small = rng.integers(0, 4, (5, b)).astype(np.float64)  # many exact ties
+    blocks = {
+        "one row": small[:1],
+        "ties": small,
+        "duplicate rows": small[[0, 1, 0, 2, 1]],
+        "rows of +inf": np.vstack((np.full(b, np.inf), small[:2], np.full((2, b), np.inf))),
+        "all +inf": np.full((3, b), np.inf),
+        "uniform": rng.uniform(0, 1, (4, b)),
+    }
+    for name, rows in blocks.items():
+        labels, values = np.full(b, -1, dtype=np.intp), np.full(b, np.nan)
+        _first_best(rows, labels, values, **chain)
+        assert np.array_equal(labels, arg(rows, axis=0)), name
+        assert np.array_equal(values, best(rows, axis=0)), name
 
 
 def test_squared_distances_brute_force():

@@ -200,6 +200,43 @@ def test_update_centers_shape_checks():
         update_centers(ds, np.ones((3, 2)), 2.0)
 
 
+@pytest.mark.parametrize(
+    "memberships",
+    [
+        np.full((3, 1), 0.5),  # broadcast against two centers' distances
+        np.full((3, 3), 0.5),
+        np.full((2, 2), 0.5),
+        np.full(3, 0.5),
+        np.full((3, 2), np.nan),
+        np.full((3, 2), np.inf),
+        np.full((3, 2), -0.5),
+    ],
+    ids=["one-column", "three-columns", "two-rows", "1-d", "nan", "inf", "negative"],
+)
+def test_objective_rejects_memberships_that_are_not_finite_nonnegative_n_by_c(memberships):
+    ds = scalar_dataset([0.0, 5.0, 10.0])
+    with pytest.raises(ValueError, match="memberships"):
+        fcm_objective(ds, np.array([[1.0], [9.0]]), memberships, 2.0)
+
+
+@pytest.mark.parametrize(
+    "memberships",
+    [
+        np.full((3, 2), np.nan),
+        np.full((3, 2), -0.5),  # (-0.5)**2 == 0.5**2: the weights alone cannot tell
+        np.array([[0.5, 0.5], [0.5, np.inf], [0.5, 0.5]]),
+        np.ones((3, 0)),
+        np.ones((2, 2)),
+        np.ones(3),
+    ],
+    ids=["nan", "negative", "inf", "no-columns", "two-rows", "1-d"],
+)
+def test_update_centers_rejects_memberships_that_are_not_finite_nonnegative_n_by_c(memberships):
+    ds = scalar_dataset([0.0, 5.0, 10.0])
+    with pytest.raises(ValueError, match="memberships"):
+        update_centers(ds, memberships, 2.0)
+
+
 def test_objective_oracle():
     ds = scalar_dataset([0.0])
     centers = np.array([[1.0], [3.0]])

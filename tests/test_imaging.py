@@ -224,6 +224,15 @@ def test_reconstruct_quantized_validates_labels():
         reconstruct_quantized(ds, np.array([0]), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reconstruct_quantized_rejects_non_finite_centers(bad):
+    # the uint8 cast would paint NaN as level 0 (with a RuntimeWarning) and +inf as 255
+    ds = PixelDataset(pixels=np.zeros((2, 3)), width=2, height=1)
+    centers = np.array([[10.0, 20.0, 30.0], [40.0, bad, 60.0]])
+    with pytest.raises(ValueError, match="centers must be finite"):
+        reconstruct_quantized(ds, np.array([0, 1]), centers)
+
+
 def test_reconstruct_matches_geometry():
     rng = np.random.default_rng(9)
     px = rng.uniform(0, 255, (12, 3))
