@@ -9,15 +9,16 @@ clustering, out of memory), 2 usage error.
 ``segment`` runs its one engine in-process. ``compare`` and ``bench`` run
 their engines on W worker processes (one pool per invocation; forked on
 Linux to skip the imports, spawned elsewhere), where W is the smaller of
-the usable CPUs and the engine runs. The parent builds every image and
-report from the results in ``ALGORITHMS`` order, so outputs do not
-depend on the worker count. With one usable CPU they run in-process only.
+the usable CPUs and the engine runs (``processes``). The parent builds
+every image and report from the results in ``ALGORITHMS`` order, so
+outputs do not depend on the worker count. With one usable CPU they run
+in-process only. A swarm run in-process may split its fitness over
+helper processes (``swarm``); one in a pool worker does not.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -25,6 +26,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
+from . import processes
 from .core import ClusterConfig, PixelDataset
 from .imaging import load_ppm, reconstruct_quantized, to_dataset, write_ppm
 from .pipeline import ALGORITHMS, SegmentationResult, run_algorithm
@@ -161,21 +163,6 @@ def cmd_segment(args, parser) -> int:
     return 0
 
 
-# A forked worker holds the parent's numpy and swarmseg imports, which a spawned
-# one spends about 0.25 s redoing. Safe here: with fork, ProcessPoolExecutor
-# forks before it starts its manager thread, fork flushes stdout and stderr,
-# and swarmseg makes no BLAS calls. macOS frameworks are not fork-safe and
-# Windows has no fork. Named, since Linux's default is forkserver from 3.14.
-POOL_START_METHOD = "fork" if sys.platform.startswith("linux") else "spawn"
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _run_engine(task: tuple) -> SegmentationResult:
     """Run one ``(name, dataset, config, sconfig)`` task.
 
@@ -196,7 +183,7 @@ def _engine_results(tasks: list[tuple]) -> Iterator[Iterator[SegmentationResult]
     when its result is read, so the first failing task in task order
     reaches the caller, as in-process. No worker outlives the ``with`` block.
     """
-    workers = min(_usable_cpus(), len(tasks))
+    workers = min(processes.usable_cpus(), len(tasks))
     if workers <= 1:
         yield map(_run_engine, tasks)
         return
@@ -204,7 +191,7 @@ def _engine_results(tasks: list[tuple]) -> Iterator[Iterator[SegmentationResult]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context(POOL_START_METHOD)
+    context = multiprocessing.get_context(processes.START_METHOD)
     pool = ProcessPoolExecutor(workers, mp_context=context)
     try:
         yield pool.map(_run_engine, tasks)

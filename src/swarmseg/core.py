@@ -332,6 +332,8 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     integer-valued inputs and bit-stable regardless of thread settings.
     """
     points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[0] < 1:
+        raise ValueError("points must be a non-empty (N, d) array")
     centers = np.asarray(centers, dtype=np.float64)
     d2 = np.empty((points.shape[0], centers.shape[0]), dtype=np.float64)
     for start, block in _distance_blocks(points, centers):

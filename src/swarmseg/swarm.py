@@ -17,8 +17,12 @@ a few particles at a time, and in each pixel block scores only the
 centers that the bounding boxes of its pixels allow to be nearest to some
 pixel there (``quantization_errors``). A skipped center is strictly
 farther than a kept one from every pixel of its box, so the fitness
-matches ``particle_fitness`` row by row bit for bit. The swarm stops when
-the relative fitness variance collapses or the iteration budget runs out.
+matches ``particle_fitness`` row by row bit for bit. Where a step is
+large enough and processes fork, the particles are split into contiguous
+slices, at most one per usable CPU, each scored by its own scorer in a
+forked helper or in this process (``_swarm_fitness``); the values are
+the same bits. The swarm stops when the relative fitness variance collapses or
+the iteration budget runs out.
 
 Determinism contract: one seeded generator drives the whole run, consumed
 in a fixed order: the particles are initialized one by one, then each step
@@ -30,13 +34,18 @@ history bit for bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import os
+import threading
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
+from . import processes
 from .core import (
+    CENTER_SETS_PER_SWEEP,
     EPS_ZERO,
     ClusterConfig,
     PixelDataset,
@@ -265,6 +274,161 @@ def step_particle(
     )
 
 
+# Center-to-pixel distances (particles x clusters x pixels) one swarm step
+# must compute before its fitness is split over processes. Below it, a
+# helper's pipe round trip and its share of the start (about 1.5 ms) and
+# join can cost more than the step saves: timing whole 100-step runs on
+# two CPUs, split against one process, every swarm measured at 65,536 or
+# more took 0.67-1.00 of the one-process time, and below it 4 particles
+# took up to 1.42 (C = 3, 1024 pixels) and 20 up to 1.13.
+SPLIT_MIN_WORK = 65_536
+
+
+def _fitness_processes(sets: int, work: int) -> int:
+    """How many processes score a swarm step of ``sets`` center sets and ``work`` distances.
+
+    W = min(usable CPUs, groups of ``CENTER_SETS_PER_SWEEP`` sets), or 1
+    unless all of these hold:
+    - processes fork;
+    - ``work`` reaches ``SPLIT_MIN_WORK``;
+    - this process runs one thread. A fork copies only the calling thread,
+      and a lock another thread holds stays held in the copy;
+    - this process is not a multiprocessing child. A ``compare`` or
+      ``bench`` pool worker is one, and its siblings already fill the CPUs.
+    """
+    if (
+        processes.START_METHOD != "fork"
+        or work < SPLIT_MIN_WORK
+        or threading.active_count() > 1
+    ):
+        return 1
+    workers = min(processes.usable_cpus(), -(-sets // CENTER_SETS_PER_SWEEP))
+    if workers <= 1:
+        return 1
+    import multiprocessing
+
+    return workers if multiprocessing.parent_process() is None else 1
+
+
+def _shares(sets: int, workers: int) -> list[slice]:
+    """``workers`` contiguous slices of ``sets`` sets, whole groups each, larger ones first."""
+    groups, extra = divmod(-(-sets // CENTER_SETS_PER_SWEEP), workers)
+    bounds = [0]
+    for i in range(workers):
+        step = (groups + (i < extra)) * CENTER_SETS_PER_SWEEP
+        bounds.append(min(sets, bounds[-1] + step))
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _serve(conn, dataset: PixelDataset, sets: int, clusters: int, cpus: set[int]) -> None:
+    """A helper's loop on ``cpus`` (if any): score each slice of positions received on ``conn``.
+
+    Positions and errors travel as raw float64 bytes; an exception goes
+    back as an empty reply and then the pickled exception. The helper runs
+    until it is terminated.
+    """
+    import signal
+
+    # Ctrl-C reaches the whole process group; the parent stops its helpers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if cpus:
+        os.sched_setaffinity(0, cpus)
+    score = _Fitness(dataset, sets, clusters)
+    while True:
+        position = np.frombuffer(conn.recv_bytes())
+        try:
+            errors = score(position)
+        except Exception as exc:
+            conn.send_bytes(b"")
+            conn.send(exc)
+        else:
+            conn.send_bytes(errors)
+
+
+def _start_helper(context, conn, *args):
+    """Start a helper process running ``_serve(conn, *args)``; return it."""
+    helper = context.Process(target=_serve, args=(conn, *args), daemon=True)
+    helper.start()
+    return helper
+
+
+def _stopped(helper) -> RuntimeError:
+    """The error for ``helper``, whose end of the pipe closed: it exited, so join it."""
+    helper.join()
+    return RuntimeError(f"a swarm fitness helper exited with code {helper.exitcode}")
+
+
+def _split_errors(position: np.ndarray, score_own, own: slice, helpers: list) -> np.ndarray:
+    """The (sets,) errors of ``position``: each helper's slice from that helper, ``own`` from ``score_own``."""
+    for helper, conn, share in helpers:
+        try:
+            conn.send_bytes(position[share])
+        except OSError:
+            raise _stopped(helper) from None
+    errors = np.empty(len(position))
+    errors[own] = score_own(position[own])
+    for helper, conn, share in helpers:
+        try:
+            reply = conn.recv_bytes() or conn.recv()
+        except (EOFError, OSError):
+            raise _stopped(helper) from None
+        if isinstance(reply, BaseException):
+            raise reply
+        errors[share] = np.frombuffer(reply)
+    return errors
+
+
+@contextmanager
+def _swarm_fitness(
+    dataset: PixelDataset, sets: int, clusters: int
+) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
+    """The fitness of one swarm run: (sets, clusters * d) positions to (sets,) errors.
+
+    With W from ``_fitness_processes`` above 1, W - 1 forked helpers each
+    score a fixed contiguous slice of the sets (``_shares``) with their own
+    ``_Fitness``, and this process scores the last slice and reads theirs
+    back in set order. A set's error does not depend on the sets scored
+    beside it, so every value keeps its bits whatever W is. A helper's
+    exception is raised here, and a helper that dies raises
+    ``RuntimeError``. Every helper is terminated and joined when the
+    ``with`` block ends, however it ends.
+
+    The helpers may run on every usable CPU but the one this process runs
+    on when they start. Unpinned, the kernel's wake-up placement often
+    kept a helper on this process's CPU for a whole run, and the split run
+    was slower than one process.
+    """
+    workers = _fitness_processes(sets, sets * clusters * dataset.n_pixels)
+    if workers == 1:
+        yield _Fitness(dataset, sets, clusters)
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context(processes.START_METHOD)
+    *shares, own = _shares(sets, workers)
+    score_own = _Fitness(dataset, own.stop - own.start, clusters)
+    cpus = processes.other_cpus()
+    helpers = []
+    try:
+        for share in shares:
+            conn, child = context.Pipe()
+            try:
+                helper = _start_helper(
+                    context, child, dataset, share.stop - share.start, clusters, cpus
+                )
+            finally:
+                # this process keeps only its own end, so a helper's exit reads as EOF
+                child.close()
+            helpers.append((helper, conn, share))
+        yield lambda position: _split_errors(position, score_own, own, helpers)
+    finally:
+        for helper, _, _ in helpers:
+            helper.terminate()
+        for helper, conn, _ in helpers:
+            helper.join()
+            conn.close()
+
+
 def run_swarm(
     dataset: PixelDataset, config: ClusterConfig, sconfig: SwarmConfig
 ) -> tuple[np.ndarray, SwarmHistory]:
@@ -284,38 +448,38 @@ def run_swarm(
         sample_distinct_pixels(dataset, config.cluster_count, rng).ravel()
         for _ in range(size)
     ])
-    score = _Fitness(dataset, size, config.cluster_count)
-    fitness = score(position)
-    velocity = np.zeros_like(position)
-    pbest, pbest_fitness = position.copy(), fitness.copy()
-    best = int(np.argmin(pbest_fitness))
-    gbest, gbest_fitness = pbest[best].copy(), float(pbest_fitness[best])
-
     gbest_hist: list[float] = []
     favg_hist: list[float] = []
     var_hist: list[float] = []
     converged = False
 
-    for n in range(sconfig.n_max + 1):
-        stats = swarm_stats(fitness)
-        gbest_hist.append(gbest_fitness)
-        favg_hist.append(stats.f_avg)
-        var_hist.append(stats.variance)
-        if stats.variance / max(stats.f_avg**2, EPS_ZERO) <= sconfig.variance_tol:
-            converged = True
-            break
-        if n == sconfig.n_max:
-            break
-
-        c1, c2 = adaptive_learning_factors(n, sconfig)
-        w = _inertia(fitness, stats, sconfig)
-        position, velocity, fitness, pbest, pbest_fitness = _step(
-            score, position, velocity, pbest, pbest_fitness, gbest,
-            w, c1, c2, rng.random((size, 2)), sconfig,
-        )
+    with _swarm_fitness(dataset, size, config.cluster_count) as score:
+        fitness = score(position)
+        velocity = np.zeros_like(position)
+        pbest, pbest_fitness = position.copy(), fitness.copy()
         best = int(np.argmin(pbest_fitness))
-        if pbest_fitness[best] < gbest_fitness:
-            gbest, gbest_fitness = pbest[best].copy(), float(pbest_fitness[best])
+        gbest, gbest_fitness = pbest[best].copy(), float(pbest_fitness[best])
+
+        for n in range(sconfig.n_max + 1):
+            stats = swarm_stats(fitness)
+            gbest_hist.append(gbest_fitness)
+            favg_hist.append(stats.f_avg)
+            var_hist.append(stats.variance)
+            if stats.variance / max(stats.f_avg**2, EPS_ZERO) <= sconfig.variance_tol:
+                converged = True
+                break
+            if n == sconfig.n_max:
+                break
+
+            c1, c2 = adaptive_learning_factors(n, sconfig)
+            w = _inertia(fitness, stats, sconfig)
+            position, velocity, fitness, pbest, pbest_fitness = _step(
+                score, position, velocity, pbest, pbest_fitness, gbest,
+                w, c1, c2, rng.random((size, 2)), sconfig,
+            )
+            best = int(np.argmin(pbest_fitness))
+            if pbest_fitness[best] < gbest_fitness:
+                gbest, gbest_fitness = pbest[best].copy(), float(pbest_fitness[best])
 
     # in range already: every position is a pixel or was clipped in ``_step``
     centers = gbest.reshape(config.cluster_count, dataset.n_channels)

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 
-from swarmseg.cli import POOL_START_METHOD, _usable_cpus
+from swarmseg.processes import START_METHOD, usable_cpus
 
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -13,9 +13,10 @@ def pytest_report_header(config):
     # the bitwise tests pin numpy's summation orders and loop choices, which a
     # numpy release may change: a log names the numpy it was checked against
     threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_VARIABLES)
-    # the worker tests run on the pool's start method, which depends on the host,
-    # and the unpatched compare and bench tests start a pool only with 2+ CPUs
+    # the worker and helper tests run on the start method, which depends on the
+    # host; unpatched, compare and bench start a pool, and a large enough swarm
+    # its fitness helpers, only with 2+ CPUs
     return (
-        f"numpy {np.__version__}; {threads}; CLI pool start method {POOL_START_METHOD}; "
-        f"usable CPUs {_usable_cpus()}"
+        f"numpy {np.__version__}; {threads}; process start method {START_METHOD}; "
+        f"usable CPUs {usable_cpus()}"
     )

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from swarmseg import cli
+from swarmseg import cli, processes
 from swarmseg.cli import main
 from swarmseg.core import ClusterConfig
 from swarmseg.imaging import load_ppm, write_ppm
@@ -270,7 +270,7 @@ def test_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch, command
         raise MemoryError(message)
 
     # one usable CPU: compare runs its engines in-process, where the patch applies
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(processes, "usable_cpus", lambda: 1)
     monkeypatch.setattr(cli, "run_algorithm", run_algorithm)
     src = tmp_path / "in.ppm"
     write_block_image(src)

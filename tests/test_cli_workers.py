@@ -13,7 +13,7 @@ import time
 import pytest
 
 import swarmseg
-from swarmseg import cli
+from swarmseg import cli, processes
 from swarmseg.core import DeadClusterError
 from swarmseg.imaging import write_ppm
 from swarmseg.synthetic import gaussian_blob_image
@@ -29,7 +29,7 @@ from test_cli import (
 
 
 def use_cpus(monkeypatch, count):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(processes, "usable_cpus", lambda: count)
 
 
 def write_second_blob_image(path):
@@ -189,9 +189,23 @@ def test_linux_workers_are_forked_with_the_parents_bindings(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_importing_the_cli_starts_no_pool_machinery():
+# the benchmark's set-up: imports, then the datasets and configs it runs on
+SETUP_STEPS = {
+    "package": "import swarmseg",
+    "cli-and-report": "import swarmseg.cli, swarmseg.report",
+    "datasets-and-configs": (
+        "import numpy as np, swarmseg.cli, swarmseg.report; "
+        "from swarmseg import ClusterConfig, PixelDataset, SwarmConfig; "
+        "PixelDataset(np.zeros((4096, 3)), 64, 64); ClusterConfig(); SwarmConfig()"
+    ),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(SETUP_STEPS))
+def test_importing_the_cli_starts_no_pool_machinery(setup):
+    # multiprocessing is imported only when a pool starts or a swarm splits
     code = (
-        "import sys, swarmseg.cli; "
+        f"import sys; {SETUP_STEPS[setup]}; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
     )
     proc = subprocess.run(

@@ -315,15 +315,23 @@ DISTANCE_BLOCK_ENTRY_POINTS = {
 }
 
 
+# squared_distances is the one entry point that takes raw points: they get the same shapes
+POINTS_ENTRY_POINT = {
+    "squared_distances points": lambda ds, points: squared_distances(points, ds.pixels[:3]),
+}
+
+
 @pytest.mark.parametrize("shape", [(3,), (0, 3)], ids=["1-d", "no-rows"])
-@pytest.mark.parametrize("entry", sorted(CENTER_ENTRY_POINTS))
+@pytest.mark.parametrize("entry", [*sorted(CENTER_ENTRY_POINTS), *POINTS_ENTRY_POINT])
 def test_centers_must_be_a_non_empty_matrix(entry, shape):
     rng = np.random.default_rng(4)
     ds = PixelDataset(pixels=rng.uniform(0, 255, (50, 3)), width=50, height=1)
-    centers = rng.uniform(0, 255, shape)
+    array = rng.uniform(0, 255, shape)
     message = r"non-empty \(C, d\)" if entry in DISTANCE_BLOCK_ENTRY_POINTS else None
+    if entry in POINTS_ENTRY_POINT:
+        message = r"^points must be a non-empty \(N, d\) array$"
     with pytest.raises(ValueError, match=message):
-        CENTER_ENTRY_POINTS[entry](ds, centers)
+        {**CENTER_ENTRY_POINTS, **POINTS_ENTRY_POINT}[entry](ds, array)
 
 
 @pytest.mark.parametrize("b", [PIXEL_BLOCK, 37])
