@@ -28,8 +28,15 @@ def usable_cpus() -> int:
 
 
 def other_cpus() -> set[int]:
-    """The CPUs this process may run on, less the one it runs on now (Linux only)."""
-    with open("/proc/self/stat") as stat:
-        # field 39, the CPU last run on; the name in field 2 may hold spaces
-        here = int(stat.read().rsplit(")", 1)[1].split()[36])
-    return os.sched_getaffinity(0) - {here}
+    """The CPUs this process may run on, less the one it runs on now (Linux only).
+
+    All of them where /proc is not mounted.
+    """
+    cpus = os.sched_getaffinity(0)
+    try:
+        with open("/proc/self/stat") as stat:
+            # field 39, the CPU last run on; the name in field 2 may hold spaces
+            here = int(stat.read().rsplit(")", 1)[1].split()[36])
+    except OSError:
+        return cpus
+    return cpus - {here}

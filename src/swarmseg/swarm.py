@@ -280,7 +280,9 @@ def step_particle(
 # join can cost more than the step saves: timing whole 100-step runs on
 # two CPUs, split against one process, every swarm measured at 65,536 or
 # more took 0.67-1.00 of the one-process time, and below it 4 particles
-# took up to 1.42 (C = 3, 1024 pixels) and 20 up to 1.13.
+# took up to 1.42 (C = 3, 1024 pixels), 10 up to 1.91 (C = 3, 64 pixels)
+# and 20 up to 1.13. Below it run the test suite's small swarms and
+# `segment` on images under about 650 pixels at 20 particles and 5 clusters.
 SPLIT_MIN_WORK = 65_536
 
 
@@ -320,29 +322,41 @@ def _shares(sets: int, workers: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _serve(conn, dataset: PixelDataset, sets: int, clusters: int, cpus: set[int]) -> None:
+def _serve(
+    conn, parent_ends, dataset: PixelDataset, sets: int, clusters: int, cpus: set[int]
+) -> None:
     """A helper's loop on ``cpus`` (if any): score each slice of positions received on ``conn``.
 
-    Positions and errors travel as raw float64 bytes; an exception goes
-    back as an empty reply and then the pickled exception. The helper runs
-    until it is terminated.
+    ``parent_ends`` are the parent's ends of this pipe and of the earlier
+    helpers' pipes, copied by the fork. Closed here, they let the parent's
+    exit, however it exits, read as EOF, and the helper then returns.
+    Positions and errors travel as raw float64 bytes; an exception, building
+    the scorer included, goes back as an empty reply and then the pickled
+    exception. Otherwise the helper runs until it is terminated.
     """
     import signal
 
+    for end in parent_ends:
+        end.close()
     # Ctrl-C reaches the whole process group; the parent stops its helpers
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if cpus:
         os.sched_setaffinity(0, cpus)
-    score = _Fitness(dataset, sets, clusters)
-    while True:
-        position = np.frombuffer(conn.recv_bytes())
-        try:
-            errors = score(position)
-        except Exception as exc:
-            conn.send_bytes(b"")
-            conn.send(exc)
-        else:
-            conn.send_bytes(errors)
+    score = None
+    try:
+        while True:
+            position = np.frombuffer(conn.recv_bytes())
+            try:
+                if score is None:
+                    score = _Fitness(dataset, sets, clusters)
+                errors = score(position)
+            except Exception as exc:
+                conn.send_bytes(b"")
+                conn.send(exc)
+            else:
+                conn.send_bytes(errors)
+    except (EOFError, OSError):  # the parent is gone
+        return
 
 
 def _start_helper(context, conn, *args):
@@ -391,7 +405,8 @@ def _swarm_fitness(
     beside it, so every value keeps its bits whatever W is. A helper's
     exception is raised here, and a helper that dies raises
     ``RuntimeError``. Every helper is terminated and joined when the
-    ``with`` block ends, however it ends.
+    ``with`` block ends, however it ends, and returns by itself if this
+    process dies first.
 
     The helpers may run on every usable CPU but the one this process runs
     on when they start. Unpinned, the kernel's wake-up placement often
@@ -413,8 +428,10 @@ def _swarm_fitness(
         for share in shares:
             conn, child = context.Pipe()
             try:
+                parent_ends = [end for _, end, _ in helpers] + [conn]
                 helper = _start_helper(
-                    context, child, dataset, share.stop - share.start, clusters, cpus
+                    context, child, parent_ends, dataset, share.stop - share.start,
+                    clusters, cpus,
                 )
             finally:
                 # this process keeps only its own end, so a helper's exit reads as EOF

@@ -2,13 +2,17 @@
 
 import multiprocessing
 import os
+import signal
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swarmseg import swarm
+from swarmseg import processes, swarm
 from swarmseg.core import PIXEL_BLOCK, ClusterConfig, _Fitness
 from swarmseg.imaging import to_dataset, write_ppm
 from swarmseg.swarm import SwarmConfig, run_swarm
@@ -153,6 +157,82 @@ def test_a_helper_that_dies_is_a_runtime_error(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def state(pid):
+    """The process state letter of ``pid``, or None once it is reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+# a split swarm far longer than the test, which prints each helper's pid
+LONG_SPLIT_SWARM = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / "src")!r})
+from swarmseg import processes, swarm
+from swarmseg.core import ClusterConfig
+from swarmseg.imaging import to_dataset
+from swarmseg.synthetic import gaussian_blob_image
+
+processes.usable_cpus = lambda: 3
+start_helper = swarm._start_helper
+
+def print_pid(*args):
+    helper = start_helper(*args)
+    print(helper.pid, flush=True)
+    return helper
+
+swarm._start_helper = print_pid
+image = gaussian_blob_image({BLOBS!r}, width=64, height=64, sigma=12.0, seed=3)
+swarm.run_swarm(
+    to_dataset(image),
+    ClusterConfig(cluster_count=3, seed=7),
+    swarm.SwarmConfig(swarm_size=50, n_max=1_000_000, variance_tol=0.0),
+)
+"""
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_helpers_exit_when_the_parent_is_killed(signum):
+    # neither signal runs the parent's finally: the helpers must see the pipe close
+    proc = subprocess.Popen([sys.executable, "-c", LONG_SPLIT_SWARM], stdout=subprocess.PIPE)
+    try:
+        helpers = [int(proc.stdout.readline()) for _ in range(2)]
+        time.sleep(0.2)
+        assert proc.poll() is None
+    finally:
+        proc.send_signal(signum)
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    deadline = time.monotonic() + 10
+    try:
+        while any(state(pid) not in (None, "Z", "X") for pid in helpers):
+            assert time.monotonic() < deadline, "a helper outlived its killed parent"
+            time.sleep(0.05)
+    finally:
+        for pid in helpers:
+            if state(pid) not in (None, "Z", "X"):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_without_proc_the_helpers_may_run_on_every_cpu(monkeypatch):
+    def no_proc(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/stat")
+
+    monkeypatch.setattr(processes, "open", no_proc, raising=False)
+    assert processes.other_cpus() == os.sched_getaffinity(0)
+    use_cpus(monkeypatch, 2)
+    starts = count_starts(monkeypatch)
+    split = run(blob_dataset(64), 3, 7)
+    assert len(starts) == 1
+    use_cpus(monkeypatch, 1)
+    centers, history = run(blob_dataset(64), 3, 7)
+    assert np.array_equal(split[0], centers)
+    assert split[1].gbest_fitness.tobytes() == history.gbest_fitness.tobytes()
+    assert multiprocessing.active_children() == []
+
+
 def write_input(path):
     path.write_bytes(write_ppm(gaussian_blob_image(BLOBS, width=64, height=64, seed=3)))
 
@@ -172,6 +252,24 @@ def test_segment_exits_1_with_no_output_when_a_helper_dies(tmp_path, capsys, mon
     assert capsys.readouterr().err == "swarmseg: error: a swarm fitness helper exited with code 3\n"
     assert not out.exists()
     assert not (tmp_path / "report.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_segment_reports_a_helper_that_cannot_build_its_scorer(tmp_path, capsys, monkeypatch):
+    src, out = tmp_path / "in.ppm", tmp_path / "out.ppm"
+    write_input(src)
+    use_cpus(monkeypatch, 2)
+
+    def fitness(*args):
+        if os.getpid() != PARENT:
+            raise MemoryError("no room for the scorer")
+        return _Fitness(*args)
+
+    monkeypatch.setattr(swarm, "_Fitness", fitness)
+    assert run_cli(["segment", str(src), str(out), "--algo", "apsof", *SPLIT_RUN]) == 1
+    err = capsys.readouterr().err
+    assert err == "swarmseg: error: out of memory: no room for the scorer\n"
+    assert not out.exists()
     assert multiprocessing.active_children() == []
 
 
