@@ -438,10 +438,12 @@ def _kept_rows(
 class _Fitness:
     """The swarm's fitness: the quantization errors of ``sets`` center sets of ``clusters`` rows.
 
-    Built once per swarm run and called once per step with a (sets,
-    clusters * d) position array, or anything of that size that reshapes
-    to (sets, clusters, d); returns (sets,) errors as ``quantization_errors``
-    defines them. What does not change between calls is made here: the
+    Built once per swarm run and called once per step with a (p, clusters
+    * d) position array of any p <= ``sets``, or anything that reshapes to
+    (p, clusters, d); returns (p,) errors as ``quantization_errors``
+    defines them. A set's error does not depend on the sets beside it, so
+    a slice of the positions scores the bits of the same slice of a whole
+    call. What does not change between calls is made here: the
     boxes' extents, since the pixels never change during a run, the
     kernel's scratch and the per-pixel minima, since fresh arrays of that
     size cost a page fault per page, and the bound's scratch, in place of
@@ -463,16 +465,19 @@ class _Fitness:
         self._bound = np.empty((5, sets, clusters, boxes))
 
     def __call__(self, center_sets: np.ndarray) -> np.ndarray:
-        sets = center_sets.reshape(self._shape)
+        most_sets, c, d = self._shape
+        sets = center_sets.reshape(-1, c, d)
+        p = len(sets)
+        if p > most_sets:
+            raise ValueError(f"{p} center sets given to a scorer built for {most_sets}")
         # once per call: a check per group of sets slows the swarm's fitness
         if not np.all(np.isfinite(sets)):
             raise ValueError("centers must be finite")
-        p, c, d = self._shape
         cols, mins, work = self._cols, self._mins, self._work
         n = cols.shape[1]
         count = np.full((p, 1), c)
         if self._extents is not None:
-            index, count = _kept_rows(cols, sets, self._extents, self._bound)
+            index, count = _kept_rows(cols, sets, self._extents, self._bound[:, :p])
             index += (np.arange(p) * c)[:, None, None]
         firsts = range(0, p, CENTER_SETS_PER_SWEEP)
         # per group and block: the fewest and the most rows a set keeps
@@ -551,7 +556,8 @@ def sample_distinct_pixels(
     chosen: list[np.ndarray] = []
     seen: set[bytes] = set()
     for i in rng.permutation(dataset.n_pixels):
-        key = px[i].tobytes()
+        # + 0.0 turns -0.0 into 0.0, so equal values share one key
+        key = (px[i] + 0.0).tobytes()
         if key in seen:
             continue
         seen.add(key)

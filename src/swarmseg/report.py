@@ -168,9 +168,12 @@ def aggregate_reports(reports: Sequence[ComparisonReport]) -> dict:
     if not reports:
         raise ValueError("aggregate_reports needs at least one report")
     names = [e.name for e in reports[0].entries]
+    pairings = [(p.a, p.b) for p in reports[0].normalized]
     for r in reports:
         if [e.name for e in r.entries] != names:
             raise ValueError("all reports must cover the same algorithms")
+        if [(p.a, p.b) for p in r.normalized] != pairings:
+            raise ValueError("all reports must cover the same pairings")
 
     values = {name: [] for name in names}
     wins = {name: 0 for name in names}
@@ -181,16 +184,6 @@ def aggregate_reports(reports: Sequence[ComparisonReport]) -> dict:
         leaders = [e.name for e in r.entries if e.final_jm == best]
         if len(leaders) == 1:
             wins[leaders[0]] += 1
-
-    pair_keys = [(p.a, p.b) for p in reports[0].normalized]
-    pair_sums: dict[tuple[str, str], list[float]] = {
-        key: [0.0, 0.0] for key in pair_keys
-    }
-    for r in reports:
-        for p in r.normalized:
-            if (p.a, p.b) in pair_sums:
-                pair_sums[(p.a, p.b)][0] += p.norm_a
-                pair_sums[(p.a, p.b)][1] += p.norm_b
 
     n = len(reports)
     return {
@@ -210,9 +203,9 @@ def aggregate_reports(reports: Sequence[ComparisonReport]) -> dict:
             {
                 "a": a,
                 "b": b,
-                "mean_norm_a": pair_sums[(a, b)][0] / n,
-                "mean_norm_b": pair_sums[(a, b)][1] / n,
+                "mean_norm_a": sum(r.normalized[i].norm_a for r in reports) / n,
+                "mean_norm_b": sum(r.normalized[i].norm_b for r in reports) / n,
             }
-            for a, b in pair_keys
+            for i, (a, b) in enumerate(pairings)
         ],
     }

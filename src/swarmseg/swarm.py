@@ -19,10 +19,11 @@ pixel there (``quantization_errors``). A skipped center is strictly
 farther than a kept one from every pixel of its box, so the fitness
 matches ``particle_fitness`` row by row bit for bit. Where a step is
 large enough and processes fork, the particles are split into contiguous
-slices, at most one per usable CPU, each scored by its own scorer in a
-forked helper or in this process (``_swarm_fitness``); the values are
-the same bits. The swarm stops when the relative fitness variance collapses or
-the iteration budget runs out.
+slices, at most one per usable CPU, each scored in a forked helper or in
+this process by the one scorer, which the helpers inherit from this
+process (``_swarm_fitness``); the values are the same bits. The swarm
+stops when the relative fitness variance collapses or the iteration
+budget runs out.
 
 Determinism contract: one seeded generator drives the whole run, consumed
 in a fixed order: the particles are initialized one by one, then each step
@@ -322,17 +323,16 @@ def _shares(sets: int, workers: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _serve(
-    conn, parent_ends, dataset: PixelDataset, sets: int, clusters: int, cpus: set[int]
-) -> None:
-    """A helper's loop on ``cpus`` (if any): score each slice of positions received on ``conn``.
+def _serve(conn, parent_ends, score: _Fitness, cpus: set[int]) -> None:
+    """A helper's loop on ``cpus`` (if any): ``score`` each slice of positions received on ``conn``.
 
-    ``parent_ends`` are the parent's ends of this pipe and of the earlier
-    helpers' pipes, copied by the fork. Closed here, they let the parent's
-    exit, however it exits, read as EOF, and the helper then returns.
-    Positions and errors travel as raw float64 bytes; an exception, building
-    the scorer included, goes back as an empty reply and then the pickled
-    exception. Otherwise the helper runs until it is terminated.
+    ``score`` is the parent's scorer, inherited by the fork; the helper
+    builds nothing. ``parent_ends`` are the parent's ends of this pipe and
+    of the earlier helpers' pipes, copied by the fork. Closed here, they let
+    the parent's exit, however it exits, read as EOF, and the helper then
+    returns. Positions and errors travel as raw float64 bytes; an exception
+    goes back as an empty reply and then the pickled exception. Otherwise
+    the helper runs until it is terminated.
     """
     import signal
 
@@ -342,13 +342,10 @@ def _serve(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if cpus:
         os.sched_setaffinity(0, cpus)
-    score = None
     try:
         while True:
             position = np.frombuffer(conn.recv_bytes())
             try:
-                if score is None:
-                    score = _Fitness(dataset, sets, clusters)
                 errors = score(position)
             except Exception as exc:
                 conn.send_bytes(b"")
@@ -372,15 +369,15 @@ def _stopped(helper) -> RuntimeError:
     return RuntimeError(f"a swarm fitness helper exited with code {helper.exitcode}")
 
 
-def _split_errors(position: np.ndarray, score_own, own: slice, helpers: list) -> np.ndarray:
-    """The (sets,) errors of ``position``: each helper's slice from that helper, ``own`` from ``score_own``."""
+def _split_errors(position: np.ndarray, score: _Fitness, own: slice, helpers: list) -> np.ndarray:
+    """The (sets,) errors of ``position``: each helper's slice from that helper, ``own`` from ``score``."""
     for helper, conn, share in helpers:
         try:
             conn.send_bytes(position[share])
         except OSError:
             raise _stopped(helper) from None
     errors = np.empty(len(position))
-    errors[own] = score_own(position[own])
+    errors[own] = score(position[own])
     for helper, conn, share in helpers:
         try:
             reply = conn.recv_bytes() or conn.recv()
@@ -398,30 +395,32 @@ def _swarm_fitness(
 ) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
     """The fitness of one swarm run: (sets, clusters * d) positions to (sets,) errors.
 
-    With W from ``_fitness_processes`` above 1, W - 1 forked helpers each
-    score a fixed contiguous slice of the sets (``_shares``) with their own
-    ``_Fitness``, and this process scores the last slice and reads theirs
-    back in set order. A set's error does not depend on the sets scored
-    beside it, so every value keeps its bits whatever W is. A helper's
-    exception is raised here, and a helper that dies raises
-    ``RuntimeError``. Every helper is terminated and joined when the
-    ``with`` block ends, however it ends, and returns by itself if this
-    process dies first.
+    This process builds the run's one ``_Fitness`` first, so a failure to
+    build it, ``MemoryError`` included, is raised here before any fork.
+    With W from ``_fitness_processes`` above 1, W - 1 helpers forked after
+    it each score a fixed contiguous slice of the sets (``_shares``) with
+    their inherited copy, and this process scores the last slice with the
+    same object and reads theirs back in set order. A set's error does not
+    depend on the sets scored beside it, so every value keeps its bits
+    whatever W is. A helper's exception is raised here, and a helper that
+    dies raises ``RuntimeError``. Every helper is terminated and joined
+    when the ``with`` block ends, however it ends, and returns by itself if
+    this process dies first.
 
     The helpers may run on every usable CPU but the one this process runs
     on when they start. Unpinned, the kernel's wake-up placement often
     kept a helper on this process's CPU for a whole run, and the split run
     was slower than one process.
     """
+    score = _Fitness(dataset, sets, clusters)
     workers = _fitness_processes(sets, sets * clusters * dataset.n_pixels)
     if workers == 1:
-        yield _Fitness(dataset, sets, clusters)
+        yield score
         return
     import multiprocessing
 
     context = multiprocessing.get_context(processes.START_METHOD)
     *shares, own = _shares(sets, workers)
-    score_own = _Fitness(dataset, own.stop - own.start, clusters)
     cpus = processes.other_cpus()
     helpers = []
     try:
@@ -429,15 +428,12 @@ def _swarm_fitness(
             conn, child = context.Pipe()
             try:
                 parent_ends = [end for _, end, _ in helpers] + [conn]
-                helper = _start_helper(
-                    context, child, parent_ends, dataset, share.stop - share.start,
-                    clusters, cpus,
-                )
+                helper = _start_helper(context, child, parent_ends, score, cpus)
             finally:
                 # this process keeps only its own end, so a helper's exit reads as EOF
                 child.close()
             helpers.append((helper, conn, share))
-        yield lambda position: _split_errors(position, score_own, own, helpers)
+        yield lambda position: _split_errors(position, score, own, helpers)
     finally:
         for helper, _, _ in helpers:
             helper.terminate()

@@ -189,6 +189,39 @@ def test_linux_workers_are_forked_with_the_parents_bindings(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@LINUX_ONLY
+def test_spawned_workers_write_the_forked_workers_outputs(tmp_path, monkeypatch):
+    # spawn is the only start on macOS and Windows; here it runs next to fork
+    src, log = tmp_path / "in.ppm", tmp_path / "runs.log"
+    write_blob_image(src)
+    use_cpus(monkeypatch, 2)
+    real = cli.run_algorithm
+
+    def run_algorithm(*args):
+        # only a forked worker has this binding; a spawned one imports cli afresh
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "run_algorithm", run_algorithm)
+    outputs = []
+    for method in ("fork", "spawn"):
+        monkeypatch.setattr(processes, "START_METHOD", method)
+        log.write_text("")
+        out = tmp_path / method
+        assert run_cli(["compare", str(src), str(out), "--clusters", "3", *FAST]) == 0
+        assert multiprocessing.active_children() == []
+        outputs.append((
+            {a: (out / f"{a}.ppm").read_bytes() for a in swarmseg.ALGORITHMS},
+            strip_wall_times(read_report(out / "report.json")),
+            len(log.read_text().splitlines()),
+        ))
+    (fork_images, fork_report, fork_runs), (spawn_images, spawn_report, spawn_runs) = outputs
+    assert (fork_runs, spawn_runs) == (len(swarmseg.ALGORITHMS), 0)
+    assert spawn_images == fork_images
+    assert spawn_report == fork_report
+
+
 # the benchmark's set-up: imports, then the datasets and configs it runs on
 SETUP_STEPS = {
     "package": "import swarmseg",

@@ -539,17 +539,31 @@ def test_boxes_drop_rows_the_block_box_keeps(d):
         assert np.array_equal(quantization_errors(ds, sets[p : p + 1]), want[p : p + 1])
 
 
-def test_one_scorer_serves_many_calls():
-    ds = banded_dataset()
+def one_block_dataset():
+    """A 64x64 blob image: one pixel block, so the scorer skips the bound."""
+    blobs = [(200.0, 40.0, 40.0), (40.0, 200.0, 40.0), (40.0, 40.0, 200.0)]
+    return to_dataset(gaussian_blob_image(blobs, width=64, height=64, sigma=12.0, seed=3))
+
+
+@pytest.mark.parametrize("make", [one_block_dataset, banded_dataset], ids=["one-block", "bounded"])
+def test_one_scorer_serves_many_calls(make):
+    ds = make()
+    assert (ds.n_pixels > PIXEL_BLOCK) == (make is banded_dataset)
     rng = np.random.default_rng(12)
     score = _Fitness(ds, 5, 4)  # the last group holds one set
     for _ in range(3):
         sets = np.stack([sample_distinct_pixels(ds, 4, rng) for _ in range(5)])
         sets += rng.uniform(-30, 30, sets.shape)
         np.clip(sets, 0, 255, out=sets)
-        got = score(sets.reshape(5, 4 * 3))
+        position = sets.reshape(5, 4 * 3)
+        got = score(position)
         assert np.array_equal(got, quantization_errors(ds, sets))
         assert np.array_equal(got, dense_errors(ds, sets))
+        # a leading slice of k sets scores the first k values of the whole call
+        for k in range(1, 6):
+            assert score(position[:k]).tobytes() == got[:k].tobytes()
+    with pytest.raises(ValueError, match="6 center sets given to a scorer built for 5"):
+        score(np.vstack([position, position[:1]]))
 
 
 def test_a_scorer_call_allocates_no_array_of_every_pixel():
@@ -637,6 +651,15 @@ def test_sample_distinct_pixels_exhausts():
     rng = np.random.default_rng(0)
     with pytest.raises(TooManyClustersError):
         sample_distinct_pixels(ds, 3, rng)
+
+
+def test_sample_distinct_pixels_counts_negative_zero_as_zero():
+    ds = scalar_dataset([0.0, -0.0, 5.0, 5.0])
+    for seed in range(40):
+        with pytest.raises(TooManyClustersError, match="only 2 distinct values"):
+            sample_distinct_pixels(ds, 3, np.random.default_rng(seed))
+        first, second = sample_distinct_pixels(ds, 2, np.random.default_rng(seed))[:, 0]
+        assert first != second, seed
 
 
 def test_sample_distinct_pixels_deterministic():

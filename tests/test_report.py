@@ -1,6 +1,7 @@
 """Canonical cross-algorithm scoring, normalization, and JSON rendering."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,6 +277,18 @@ def test_aggregate_rejects_mismatched_rosters():
         aggregate_reports([a, b])
     with pytest.raises(ValueError):
         aggregate_reports([])
+
+
+@pytest.mark.parametrize("unpaired_first", [False, True], ids=["paired-first", "unpaired-first"])
+def test_aggregate_rejects_mismatched_pairings(unpaired_first):
+    paired = manual_report(0, {"fcm": 2.0, "apsof": 6.0})  # (0.5, 1.5)
+    unpaired = replace(manual_report(1, {"fcm": 2.0, "apsof": 6.0}), normalized=())
+    reports = [unpaired, paired] if unpaired_first else [paired, unpaired]
+    with pytest.raises(ValueError, match="all reports must cover the same pairings"):
+        aggregate_reports(reports)
+    swapped = replace(unpaired, normalized=(NormalizedPair("apsof", "fcm", 1.5, 0.5),))
+    with pytest.raises(ValueError, match="all reports must cover the same pairings"):
+        aggregate_reports([paired, swapped])
 
 
 def test_report_round_trip_on_real_runs():

@@ -127,7 +127,10 @@ def test_run_swarm_on_pruned_blocks_matches_dense_fitness(monkeypatch, schedule)
     assert any(np.any(count < 4) for count in kept)
 
     def dense_scorer(dataset, sets, clusters):
-        return lambda position: dense_errors(dataset, position.reshape(sets, clusters, -1))
+        # a split run scores slices of the sets with this one scorer
+        return lambda position: dense_errors(
+            dataset, position.reshape(-1, clusters, dataset.n_channels)
+        )
 
     monkeypatch.setattr(swarm, "_Fitness", dense_scorer)
     want_centers, want = run_swarm(ds, config, sconfig)

@@ -81,6 +81,28 @@ def test_outputs_do_not_depend_on_the_helper_count(monkeypatch, side, clusters, 
         assert (other.iterations, other.converged) == (history.iterations, history.converged)
 
 
+def test_the_parent_builds_the_one_scorer_whatever_the_helper_count(tmp_path, monkeypatch):
+    log = tmp_path / "builds.log"
+    real = swarm._Fitness
+
+    def fitness(*args):
+        # forked helpers share the file, so a build in any of them would show
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(swarm, "_Fitness", fitness)
+    starts = count_starts(monkeypatch)
+    for workers in (1, 2, 3):
+        use_cpus(monkeypatch, workers)
+        log.write_text("")
+        starts.clear()
+        run(blob_dataset(64), 3, 50)
+        assert len(starts) == workers - 1
+        assert log.read_text() == f"{os.getpid()}\n"
+    assert multiprocessing.active_children() == []
+
+
 def test_shares_are_contiguous_whole_groups_with_the_larger_first():
     assert swarm._shares(50, 2) == [slice(0, 26), slice(26, 50)]
     assert swarm._shares(7, 3) == [slice(0, 4), slice(4, 6), slice(6, 7)]
@@ -255,20 +277,21 @@ def test_segment_exits_1_with_no_output_when_a_helper_dies(tmp_path, capsys, mon
     assert multiprocessing.active_children() == []
 
 
-def test_segment_reports_a_helper_that_cannot_build_its_scorer(tmp_path, capsys, monkeypatch):
+def test_segment_reports_a_scorer_that_cannot_be_built(tmp_path, capsys, monkeypatch):
     src, out = tmp_path / "in.ppm", tmp_path / "out.ppm"
     write_input(src)
     use_cpus(monkeypatch, 2)
+    starts = count_starts(monkeypatch)
 
     def fitness(*args):
-        if os.getpid() != PARENT:
-            raise MemoryError("no room for the scorer")
-        return _Fitness(*args)
+        raise MemoryError("no room for the scorer")
 
     monkeypatch.setattr(swarm, "_Fitness", fitness)
     assert run_cli(["segment", str(src), str(out), "--algo", "apsof", *SPLIT_RUN]) == 1
     err = capsys.readouterr().err
     assert err == "swarmseg: error: out of memory: no room for the scorer\n"
+    # the scorer is built before any fork
+    assert starts == []
     assert not out.exists()
     assert multiprocessing.active_children() == []
 
