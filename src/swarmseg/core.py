@@ -21,18 +21,7 @@ center. ``squared_distances`` transposes them into the public (N, C)
 layout. FCM's alternation and the nearest-center pass (``_nearest``) take
 them one (C, B) block at a time and hold no (N, C) array. Both label pixels
 by one strict-comparison chain, ``_first_best``, ties to the lowest index.
-
-The swarm's fitness, ``quantization_errors``, is a bounded nearest-center
-pass: with more than one block, it scores in each block only the centers
-that can be nearest to one of its pixels. Each box of ``BOUND_BOX``
-pixels drops a center when its squared distance to the box exceeds the
-smallest squared distance from any center of its set to the box's
-farthest corner, and a block skips the centers all of its boxes drop.
-Both bounds are accumulated as the kernel accumulates its distances, and
-rounding is monotone, so a skipped center is strictly farther than a kept
-one from every pixel of the box: each minimum, and so each set's sum,
-keeps its bits. A swarm builds the scorer (``_Fitness``) once per run, so
-the boxes and the kernel's scratch are made once.
+The swarm's fitness, which bounds the nearest-center pass, is in ``swarm``.
 """
 
 from __future__ import annotations
@@ -50,16 +39,6 @@ EPS_ZERO = 1e-12
 # Pixels per block of the distance kernel: the (rows, PIXEL_BLOCK) work
 # arrays stay cache-resident, and blocking never changes a result.
 PIXEL_BLOCK = 8192
-
-# Center sets scored per sweep over the pixels by ``quantization_errors``.
-# Scoring the whole swarm in one sweep is slower: its work arrays leave
-# the cache.
-CENTER_SETS_PER_SWEEP = 2
-
-# Pixels per bounding box of the swarm fitness's bound (``_kept_rows``);
-# divides ``PIXEL_BLOCK``. Smaller boxes are tighter, and more of them cost
-# more bound arithmetic per call.
-BOUND_BOX = 256
 
 
 class InvalidFuzzifierError(ValueError):
@@ -129,11 +108,12 @@ class PixelDataset:
     """Flat array of color points plus the image geometry they came from.
 
     ``pixels`` has shape (N, d) with every component finite and in [0, 255];
-    ``width * height`` must equal N. Any (N, d) array of numbers is accepted
-    and copied once into a fresh read-only, C-contiguous float64 (d, N)
-    array; ``pixels`` is that array's transposed view, so ``pixels.T`` is
-    the channel-major copy itself. The caller's array is neither aliased nor
-    frozen. Instances are immutable and safe to share between engines.
+    ``width`` and ``height`` are integers whose product is N. Any (N, d)
+    array of numbers is accepted and copied once into a fresh read-only,
+    C-contiguous float64 (d, N) array; ``pixels`` is that array's transposed
+    view, so ``pixels.T`` is the channel-major copy itself. The caller's
+    array is neither aliased nor frozen. Instances are immutable and safe to
+    share between engines.
     """
 
     pixels: np.ndarray
@@ -151,6 +131,8 @@ class PixelDataset:
                 raise ValueError("pixel components must be finite")
             if cols.min() < 0.0 or cols.max() > 255.0:
                 raise ValueError("pixel components must lie in [0, 255]")
+        require_integer("width", self.width)
+        require_integer("height", self.height)
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be positive")
         if self.width * self.height != px.shape[0]:
@@ -373,163 +355,9 @@ def min_squared_distances(dataset: PixelDataset, centers: np.ndarray) -> np.ndar
     """Squared distance from each pixel to its nearest center, shape (N,).
 
     The row minima of ``squared_distances``, from the blocked nearest-center
-    pass, so its memory is O(N); the one-set reference for
-    :func:`quantization_errors`.
+    pass, so its memory is O(N).
     """
     return _nearest(dataset, centers)[1]
-
-
-def _box_extents(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel minimum and maximum of each box of ``BOUND_BOX`` pixels: two (d, boxes) arrays."""
-    starts = np.arange(0, cols.shape[1], BOUND_BOX)
-    return np.minimum.reduceat(cols, starts, axis=1), np.maximum.reduceat(cols, starts, axis=1)
-
-
-def _kept_rows(
-    cols: np.ndarray,
-    sets: np.ndarray,
-    extents: tuple[np.ndarray, np.ndarray] | None = None,
-    scratch: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Which center rows can be nearest to some pixel of each block.
-
-    ``cols`` is the (d, N) channel-major pixels and ``sets`` the (P, C, d)
-    center sets; ``extents`` is ``_box_extents(cols)``, computed when not
-    given, and ``scratch`` (5, P, C, boxes) work space likewise. Per box of
-    ``BOUND_BOX`` pixels and per set, a center's lower bound is its squared
-    distance to the box and its upper bound its squared distance to the
-    box's farthest corner, both accumulated in place channel by channel in
-    the kernel's order. Rounding is monotone and every term is non-negative,
-    so the kernel's distance from any pixel of the box lies between the two
-    bounds as computed. A box drops a center whose lower bound exceeds
-    ``1 + 1e-9`` times the set's smallest upper bound: it is strictly farther
-    than that set's closest-corner center, which the box keeps, from every
-    pixel of the box. A block of ``PIXEL_BLOCK`` pixels keeps the centers
-    any of its boxes keeps, so no pixel's nearest center is dropped.
-
-    Returns ``(index, count)``: ``count[p, j]`` is the number of rows of set
-    p kept in block j, (P, nb); ``index[p, :, j]`` lists the kept rows of
-    set p in center order, then repeats the first kept row, (P, C, nb).
-    """
-    lo, hi = _box_extents(cols) if extents is None else extents
-    scratch = np.empty((5, *sets.shape[:2], lo.shape[1])) if scratch is None else scratch
-    lower, upper, below, above, far = scratch
-    scratch[:2] = 0.0
-    for k in range(cols.shape[0]):
-        center = sets[:, :, k, None]
-        np.subtract(lo[k], center, out=below)
-        np.subtract(center, hi[k], out=above)
-        # the farthest corner is -min(below, above) away; negating is exact
-        np.minimum(below, above, out=far)
-        gap = np.maximum(np.maximum(below, above, out=below), 0.0, out=below)
-        lower += np.square(gap, out=gap)
-        upper += np.square(far, out=far)
-    keep = lower <= upper.min(axis=1, keepdims=True) * (1.0 + 1e-9)
-    keep = np.logical_or.reduceat(keep, range(0, lo.shape[1], PIXEL_BLOCK // BOUND_BOX), axis=2)
-    count = np.count_nonzero(keep, axis=1)
-    # kept rows first, each part in center order; then pad with the first
-    index = np.argsort(~keep, axis=1, kind="stable")
-    c = sets.shape[1]
-    pad = np.arange(c)[:, None] >= count[:, None, :]
-    index = np.where(pad, index[:, :1], index)
-    return index, count
-
-
-class _Fitness:
-    """The swarm's fitness: the quantization errors of ``sets`` center sets of ``clusters`` rows.
-
-    Built once per swarm run and called once per step with a (p, clusters
-    * d) position array of any p <= ``sets``, or anything that reshapes to
-    (p, clusters, d); returns (p,) errors as ``quantization_errors``
-    defines them. A set's error does not depend on the sets beside it, so
-    a slice of the positions scores the bits of the same slice of a whole
-    call. What does not change between calls is made here: the
-    boxes' extents, since the pixels never change during a run, the
-    kernel's scratch and the per-pixel minima, since fresh arrays of that
-    size cost a page fault per page, and the bound's scratch, in place of
-    about ten fresh arrays per channel. A call allocates no array of N values.
-    """
-
-    def __init__(self, dataset: PixelDataset, sets: int, clusters: int):
-        self._cols = dataset.pixels.T
-        self._shape = (sets, clusters, len(self._cols))
-        n = dataset.n_pixels
-        per_sweep = min(sets, CENTER_SETS_PER_SWEEP)
-        self._mins = np.empty((per_sweep, n))
-        self._work = _aligned_empty((2, per_sweep * clusters, min(n, PIXEL_BLOCK)))
-        # with one block the bound costs more than it drops: forced on, the
-        # lone block of each seed-protocol mixture (64x64) kept at least
-        # 99.97% of the center rows over the 121 fitness calls of a swarm
-        boxes = -(-n // BOUND_BOX) if n > PIXEL_BLOCK else 0
-        self._extents = _box_extents(self._cols) if boxes else None
-        self._bound = np.empty((5, sets, clusters, boxes))
-
-    def __call__(self, center_sets: np.ndarray) -> np.ndarray:
-        most_sets, c, d = self._shape
-        sets = center_sets.reshape(-1, c, d)
-        p = len(sets)
-        if p > most_sets:
-            raise ValueError(f"{p} center sets given to a scorer built for {most_sets}")
-        # once per call: a check per group of sets slows the swarm's fitness
-        if not np.all(np.isfinite(sets)):
-            raise ValueError("centers must be finite")
-        cols, mins, work = self._cols, self._mins, self._work
-        n = cols.shape[1]
-        count = np.full((p, 1), c)
-        if self._extents is not None:
-            index, count = _kept_rows(cols, sets, self._extents, self._bound[:, :p])
-            index += (np.arange(p) * c)[:, None, None]
-        firsts = range(0, p, CENTER_SETS_PER_SWEEP)
-        # per group and block: the fewest and the most rows a set keeps
-        fewest = np.minimum.reduceat(count, firsts, axis=0).tolist()
-        most = np.maximum.reduceat(count, firsts, axis=0).tolist()
-        flat = sets.reshape(p * c, d)
-        errors = np.empty(p)
-        for g, first in enumerate(firsts):
-            k = min(p - first, CENTER_SETS_PER_SWEEP)
-            for j, start in enumerate(range(0, n, PIXEL_BLOCK)):
-                b = min(n - start, PIXEL_BLOCK)
-                m = most[g][j]
-                if fewest[g][j] == c:
-                    centers = flat[first * c : (first + k) * c]
-                else:
-                    centers = flat[index[first : first + k, :m, j].ravel()]
-                block = _block_squared_distances(
-                    cols[:, start : start + b], centers, work[0, : k * m, :b], work[1, : k * m, :b]
-                )
-                np.min(block.reshape(k, m, b), axis=1, out=mins[:k, start : start + b])
-            # summed along a row, as one np.sum of that row would
-            np.sum(mins[:k], axis=1, out=errors[first : first + k])
-        return errors
-
-
-def quantization_errors(dataset: PixelDataset, center_sets: np.ndarray) -> np.ndarray:
-    """Quantization error of each of P center sets given as (P, C, d), shape (P,).
-
-    Entry p equals ``np.sum(min_squared_distances(dataset, center_sets[p]))``
-    bit for bit: the distances come from the same kernel, the minimum is
-    exact, and each set's error is one sum over its whole (N,) row of
-    nearest-center distances. The sets are scored ``CENTER_SETS_PER_SWEEP``
-    at a time per sweep over blocks of the channel-major ``pixels.T``.
-
-    With more than one block, each block scores only the center rows that
-    can be nearest to one of its pixels (``_kept_rows``). A dropped row is
-    strictly farther than a kept one from every pixel of the block, so no
-    minimum changes. Within a group, each set's kept rows are padded to
-    the group's largest count with a repeat of its first kept row, which
-    cannot change a minimum either. A group that keeps every row in a
-    block is scored from its own rows, with no gather.
-
-    This is the one-shot form of ``_Fitness``, which a swarm builds once
-    and calls at every step.
-    """
-    sets = np.asarray(center_sets, dtype=np.float64)
-    if sets.ndim != 3 or sets.shape[1] < 1:
-        raise ValueError("center_sets must be a (P, C, d) array with C >= 1")
-    p, c, d = sets.shape
-    if d != dataset.n_channels:
-        raise ValueError(f"centers are {d} wide but the pixels have {dataset.n_channels} channels")
-    return _Fitness(dataset, p, c)(sets)
 
 
 def assign_nearest(dataset: PixelDataset, centers: np.ndarray) -> np.ndarray:

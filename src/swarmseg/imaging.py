@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PixelDataset
+from .core import PixelDataset, require_integer
 
 
 class PpmParseError(ValueError):
@@ -43,6 +43,8 @@ class RawImage:
     rgb8: bytes
 
     def __post_init__(self):
+        require_integer("width", self.width)
+        require_integer("height", self.height)
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
         expected = self.width * self.height * 3
@@ -127,17 +129,18 @@ def write_ppm(image: RawImage) -> bytes:
 def to_dataset(image: RawImage, max_side: int | None = None) -> PixelDataset:
     """Convert a raw image to a float pixel dataset, optionally downscaling.
 
-    When ``max_side`` is given and the longer side exceeds it, the image is
-    reduced by integer-factor box averaging: output pixel (i, j) is the mean
-    of the k x k input block it covers (edge blocks may be partial and are
-    averaged over the pixels present). The factor k is the smallest integer
-    bringing the longer side within ``max_side``.
+    When ``max_side``, an integer, is given and the longer side exceeds it,
+    the image is reduced by integer-factor box averaging: output pixel
+    (i, j) is the mean of the k x k input block it covers (edge blocks may
+    be partial and are averaged over the pixels present). The factor k is
+    the smallest integer bringing the longer side within ``max_side``.
     """
     rgb = np.frombuffer(image.rgb8, dtype=np.uint8).reshape(
         image.height, image.width, 3
     )
     k = 1
     if max_side is not None:
+        require_integer("max_side", max_side)
         if max_side < 1:
             raise ValueError("max_side must be positive")
         longer = max(image.width, image.height)

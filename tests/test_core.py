@@ -1,15 +1,11 @@
 """Domain type validation and distance/assignment primitives."""
 
 import pickle
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from swarmseg import RawImage
 from swarmseg.core import (
-    BOUND_BOX,
-    CENTER_SETS_PER_SWEEP,
     PIXEL_BLOCK,
     ClusterConfig,
     DegenerateClusteringError,
@@ -19,20 +15,15 @@ from swarmseg.core import (
     TooManyClustersError,
     _count_distinct,
     _first_best,
-    _Fitness,
-    _kept_rows,
     assign_nearest,
     min_squared_distances,
-    quantization_errors,
     reseed_streak,
     sample_distinct_pixels,
     squared_distances,
     validate_config,
 )
 from swarmseg.fcm import compute_memberships, fcm_objective, run_fcm, update_centers
-from swarmseg.imaging import to_dataset
 from swarmseg.report import evaluate_jm
-from swarmseg.synthetic import gaussian_blob_image
 
 
 def scalar_dataset(values):
@@ -279,7 +270,6 @@ CENTER_ENTRY_POINTS = {
     "squared_distances": lambda ds, centers: squared_distances(ds.pixels, centers),
     "min_squared_distances": min_squared_distances,
     "assign_nearest": assign_nearest,
-    "quantization_errors": lambda ds, centers: quantization_errors(ds, centers[None]),
     "compute_memberships": lambda ds, centers: compute_memberships(ds, centers, 2.0),
     "evaluate_jm": evaluate_jm,
     "run_fcm": lambda ds, centers: run_fcm(ds, centers, ClusterConfig(cluster_count=3)),
@@ -407,189 +397,6 @@ def test_min_squared_distances_matches_reference_bitwise():
         assert np.array_equal(squared_distances(ds.pixels, centers), reference)
         assert np.array_equal(min_squared_distances(ds, centers), reference.min(axis=1))
         assert np.array_equal(assign_nearest(ds, centers), reference.argmin(axis=1))
-
-
-def dense_errors(dataset, center_sets):
-    """The one-set reference for ``quantization_errors``, set by set."""
-    return np.array([np.sum(min_squared_distances(dataset, s)) for s in center_sets])
-
-
-def banded_dataset():
-    """A 256x128 box-averaged image of four color bands, one per pixel block."""
-    means = [(60.0, 60.0, 60.0), (120.0, 120.0, 120.0),
-             (230.0, 230.0, 60.0), (60.0, 230.0, 230.0)]
-    bands = [
-        gaussian_blob_image([mean], width=512, height=64, sigma=12.0, seed=31 + k)
-        for k, mean in enumerate(means)
-    ]
-    image = RawImage(width=512, height=256, rgb8=b"".join(b.rgb8 for b in bands))
-    return to_dataset(image, max_side=256)
-
-
-@pytest.mark.parametrize("d", [1, 3])
-def test_bounded_errors_match_dense_on_adversarial_blocks(d):
-    # block 0 is one color, block 1 a narrow band of integers, and the
-    # ragged last block spans [0, 255] in every channel
-    rng = np.random.default_rng(40 + d)
-    n = 2 * PIXEL_BLOCK + 37
-    px = np.empty((n, d))
-    px[:PIXEL_BLOCK] = 40.0
-    px[PIXEL_BLOCK : 2 * PIXEL_BLOCK] = rng.integers(100, 111, (PIXEL_BLOCK, d))
-    px[2 * PIXEL_BLOCK :] = rng.uniform(0, 255, (37, d))
-    px[-2:] = [[0.0] * d, [255.0] * d]
-    ds = PixelDataset(pixels=px, width=n, height=1)
-    sets = np.stack([
-        # on the one-color block (upper bound 0), far from the band
-        [[40.0] * d, [200.0] * d, [250.0] * d, [180.0] * d],
-        # duplicates: the on-color center twice, then a band center twice
-        [[40.0] * d, [40.0] * d, [105.0] * d, [105.0] * d],
-        # the band's middle, 105, is equidistant from 95 and 115
-        [[95.0] * d, [115.0] * d, [0.0] * d, [255.0] * d],
-        # one center per block and a fourth close to the band
-        [[40.0] * d, [105.5] * d, [128.0] * d, [112.0] * d],
-        *rng.uniform(0, 255, (3, 4, d)),
-    ])
-    assert len(sets) % CENTER_SETS_PER_SWEEP == 1  # the last group has one set
-    _, count = _kept_rows(ds.pixels.T, sets)
-    assert count[0, 0] == 1  # only the center on the block's color stays
-    assert count[1, 0] == 2  # both copies of it
-    assert count[2, 1] == 2  # both equidistant centers
-    assert count[2, 0] == count[3, 0] == 1  # a group scored from one row per set
-    assert np.all(count[:, 2] == 4)  # the full-range block keeps every row
-    want = dense_errors(ds, sets)
-    assert np.array_equal(quantization_errors(ds, sets), want)
-    for p in range(len(sets)):
-        assert np.array_equal(quantization_errors(ds, sets[p : p + 1]), want[p : p + 1])
-
-
-def test_bounded_errors_keep_ties_with_a_zero_upper_bound():
-    # each block is one color; the first two sets have a center on each,
-    # the third one center twice, which ties with itself in both blocks
-    px = np.repeat([[10.0, 20.0, 30.0], [200.0, 100.0, 0.0]], PIXEL_BLOCK, axis=0)
-    ds = PixelDataset(pixels=px, width=2 * PIXEL_BLOCK, height=1)
-    sets = np.array([
-        [[10.0, 20.0, 30.0], [200.0, 100.0, 0.0]],
-        [[200.0, 100.0, 0.0], [10.0, 20.0, 30.0]],
-        [[10.0, 20.0, 30.0], [10.0, 20.0, 30.0]],
-    ])
-    _, count = _kept_rows(ds.pixels.T, sets)
-    assert count.tolist() == [[1, 1], [1, 1], [2, 2]]
-    assert np.array_equal(quantization_errors(ds, sets), dense_errors(ds, sets))
-    assert quantization_errors(ds, sets)[:2].tolist() == [0.0, 0.0]
-
-
-def test_kept_rows_list_kept_centers_in_order_then_pad():
-    px = np.repeat([[0.0], [100.0]], PIXEL_BLOCK, axis=0)
-    ds = PixelDataset(pixels=px, width=2 * PIXEL_BLOCK, height=1)
-    sets = np.array([[[90.0], [1.0], [99.0], [2.0]]])
-    index, count = _kept_rows(ds.pixels.T, sets)
-    assert count.tolist() == [[1, 1]]
-    assert index[0, :, 0].tolist() == [1, 1, 1, 1]
-    assert index[0, :, 1].tolist() == [2, 2, 2, 2]
-    sets = np.array([[[50.0], [0.0], [50.0], [100.0]]])
-    index, count = _kept_rows(ds.pixels.T, sets)
-    assert count.tolist() == [[1, 1]]
-    assert index[0, :, 0].tolist() == [1, 1, 1, 1]
-    assert index[0, :, 1].tolist() == [3, 3, 3, 3]
-
-
-def test_bounded_errors_drop_rows_on_a_banded_image():
-    ds = banded_dataset()
-    assert ds.n_pixels == 4 * PIXEL_BLOCK
-    rng = np.random.default_rng(9)
-    sets = np.stack([sample_distinct_pixels(ds, 4, rng) for _ in range(9)])
-    sets[::2] += rng.uniform(-20, 20, sets[::2].shape)
-    np.clip(sets, 0, 255, out=sets)
-    _, count = _kept_rows(ds.pixels.T, sets)
-    # the pruned path runs: rows drop, and in some groups not every row stays
-    assert count.sum() < count.size * 4
-    assert np.any(count == 1)
-    assert np.array_equal(quantization_errors(ds, sets), dense_errors(ds, sets))
-
-
-@pytest.mark.parametrize("d", [1, 3])
-def test_boxes_drop_rows_the_block_box_keeps(d):
-    # 256-pixel boxes alternate between a band around 40 and one around
-    # 200; the last block ends with a whole box and a ragged one
-    assert PIXEL_BLOCK % BOUND_BOX == 0
-    rng = np.random.default_rng(50 + d)
-    n = 2 * PIXEL_BLOCK + BOUND_BOX + 44
-    band = (np.arange(n) // BOUND_BOX) % 2
-    px = np.where(band[:, None] == 0, 40.0, 200.0) + rng.integers(-3, 4, (n, d))
-    ds = PixelDataset(pixels=px, width=n, height=1)
-    sets = np.stack([
-        [[40.0] * d, [200.0] * d, [120.0] * d, [128.0] * d],
-        [[120.0] * d, [41.0] * d, [120.0] * d, [199.0] * d],
-        [[0.0] * d, [255.0] * d, [130.0] * d, [90.0] * d],
-        *rng.uniform(0, 255, (2, 4, d)),
-    ])
-    assert len(sets) % CENTER_SETS_PER_SWEEP == 1  # the last group has one set
-    # every block's own box holds 120 and 128, so its bound keeps them ...
-    for start in range(0, n, PIXEL_BLOCK):
-        block = px[start : start + PIXEL_BLOCK]
-        assert np.all(block.min(axis=0) < 120.0) and np.all(block.max(axis=0) > 128.0)
-    # ... but no 256-pixel box does
-    _, count = _kept_rows(ds.pixels.T, sets)
-    assert count.shape == (len(sets), 3)
-    assert count[:2].tolist() == [[2, 2, 2], [2, 2, 2]]
-    assert np.all(count[2] == 2)  # 90 for the low band, 255 for the high one
-    want = dense_errors(ds, sets)
-    assert np.array_equal(quantization_errors(ds, sets), want)
-    for p in range(len(sets)):
-        assert np.array_equal(quantization_errors(ds, sets[p : p + 1]), want[p : p + 1])
-
-
-def one_block_dataset():
-    """A 64x64 blob image: one pixel block, so the scorer skips the bound."""
-    blobs = [(200.0, 40.0, 40.0), (40.0, 200.0, 40.0), (40.0, 40.0, 200.0)]
-    return to_dataset(gaussian_blob_image(blobs, width=64, height=64, sigma=12.0, seed=3))
-
-
-@pytest.mark.parametrize("make", [one_block_dataset, banded_dataset], ids=["one-block", "bounded"])
-def test_one_scorer_serves_many_calls(make):
-    ds = make()
-    assert (ds.n_pixels > PIXEL_BLOCK) == (make is banded_dataset)
-    rng = np.random.default_rng(12)
-    score = _Fitness(ds, 5, 4)  # the last group holds one set
-    for _ in range(3):
-        sets = np.stack([sample_distinct_pixels(ds, 4, rng) for _ in range(5)])
-        sets += rng.uniform(-30, 30, sets.shape)
-        np.clip(sets, 0, 255, out=sets)
-        position = sets.reshape(5, 4 * 3)
-        got = score(position)
-        assert np.array_equal(got, quantization_errors(ds, sets))
-        assert np.array_equal(got, dense_errors(ds, sets))
-        # a leading slice of k sets scores the first k values of the whole call
-        for k in range(1, 6):
-            assert score(position[:k]).tobytes() == got[:k].tobytes()
-    with pytest.raises(ValueError, match="6 center sets given to a scorer built for 5"):
-        score(np.vstack([position, position[:1]]))
-
-
-def test_a_scorer_call_allocates_no_array_of_every_pixel():
-    rng = np.random.default_rng(13)
-    n = 4 * PIXEL_BLOCK + 100
-    ds = PixelDataset(pixels=rng.uniform(0, 255, (n, 3)), width=n, height=1)
-    position = rng.uniform(0, 255, (3, 4 * 3))
-    one_array = n * 8
-    score = _Fitness(ds, 3, 4)
-    tracemalloc.start()
-    try:
-        score(position)
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        got = score(position)
-        call_peak = tracemalloc.get_traced_memory()[1] - held
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        want = quantization_errors(ds, position.reshape(3, 4, 3))
-        one_shot_peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(got, want)
-    assert call_peak < one_array, call_peak
-    # the one-shot form makes its (N,) scratch, so the measurement sees it
-    assert one_shot_peak >= one_array, one_shot_peak
 
 
 def test_assign_nearest_basic_and_tie_break():

@@ -125,6 +125,27 @@ def test_raw_image_validates_payload_length():
         RawImage(width=0, height=2, rgb8=b"")
 
 
+def test_image_geometry_must_be_integers():
+    with pytest.raises(ValueError, match="width must be an integer"):
+        RawImage(width=2.5, height=2, rgb8=bytes(15))  # 2.5 * 2 * 3 == 15
+    with pytest.raises(ValueError, match="height must be an integer"):
+        RawImage(width=3, height=2.0, rgb8=bytes(18))
+    img = RawImage(width=np.int64(3), height=np.int32(2), rgb8=bytes(18))
+    for max_side in (2.5, 3.0, np.float64(2)):
+        with pytest.raises(ValueError, match="max_side must be an integer"):
+            to_dataset(img, max_side=max_side)
+    assert to_dataset(img, max_side=np.int64(2)).width == 2
+    # a float width would be written into the PPM header as "3.0"
+    with pytest.raises(ValueError, match="width must be an integer"):
+        PixelDataset(pixels=np.zeros((6, 3)), width=np.float64(3), height=2)
+    with pytest.raises(ValueError, match="height must be an integer"):
+        PixelDataset(pixels=np.zeros((6, 3)), width=3, height=2.0)
+    ds = PixelDataset(pixels=np.zeros((6, 3)), width=np.int64(3), height=2)
+    labels = np.zeros(6, dtype=np.intp)
+    image = reconstruct_quantized(ds, labels, np.zeros((1, 3)))
+    assert load_ppm(write_ppm(image)) == image
+
+
 def test_to_dataset_identity():
     img = RawImage(width=2, height=1, rgb8=bytes([10, 20, 30, 40, 50, 60]))
     ds = to_dataset(img)

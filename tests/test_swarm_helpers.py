@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from swarmseg import processes, swarm
-from swarmseg.core import PIXEL_BLOCK, ClusterConfig, _Fitness
+from swarmseg.core import PIXEL_BLOCK, ClusterConfig
 from swarmseg.imaging import to_dataset, write_ppm
-from swarmseg.swarm import SwarmConfig, run_swarm
+from swarmseg.swarm import SwarmConfig, _Fitness, run_swarm
 from swarmseg.synthetic import gaussian_blob_image, random_image
 
 from test_cli import run_cli
