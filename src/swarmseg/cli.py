@@ -9,22 +9,21 @@ clustering, out of memory), 2 usage error.
 ``segment`` runs its one engine in-process. ``compare`` and ``bench`` run
 their engines on W worker processes (one pool per invocation; forked on
 Linux to skip the imports, spawned elsewhere), where W is the smaller of
-the usable CPUs and the engine runs (``processes``). The parent builds
-every image and report from the results in ``ALGORITHMS`` order, so
-outputs do not depend on the worker count. With one usable CPU they run
-in-process only. A swarm run in-process may split its fitness over
-helper processes (``swarm``); one in a pool worker does not.
+the usable CPUs and the engine runs. ``processes``, the one module that
+starts processes, runs the pool. The parent builds every image and
+report from the results in ``ALGORITHMS`` order, so outputs do not
+depend on the worker count. With one usable CPU they run in-process
+only. A swarm run in-process may split its fitness over helper
+processes; one in a pool worker does not.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
-from typing import Iterator
 
 from . import processes
 from .core import ClusterConfig, PixelDataset
@@ -172,33 +171,6 @@ def _run_engine(task: tuple) -> SegmentationResult:
     return run_algorithm(*task)
 
 
-@contextmanager
-def _engine_results(tasks: list[tuple]) -> Iterator[Iterator[SegmentationResult]]:
-    """An iterator over the results of ``_run_engine`` on every task, in task order.
-
-    With W the smaller of the usable CPUs and the task count, W pool
-    workers (forked on Linux to skip the imports, else spawned) run every
-    task and the parent reads the results; with W = 1 the parent runs each
-    task in turn as the iterator advances. A task's exception is raised
-    when its result is read, so the first failing task in task order
-    reaches the caller, as in-process. No worker outlives the ``with`` block.
-    """
-    workers = min(processes.usable_cpus(), len(tasks))
-    if workers <= 1:
-        yield map(_run_engine, tasks)
-        return
-    # imported only when a pool starts: segment and one-CPU runs skip the cost
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context(processes.START_METHOD)
-    pool = ProcessPoolExecutor(workers, mp_context=context)
-    try:
-        yield pool.map(_run_engine, tasks)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _engine_tasks(
     dataset: PixelDataset, config: ClusterConfig, sconfig: SwarmConfig
 ) -> list[tuple]:
@@ -216,7 +188,7 @@ def _compare_report(
 def cmd_compare(args, parser) -> int:
     config, sconfig = _build_configs(args, parser)
     dataset = _load_dataset(args.input, args.max_side)
-    with _engine_results(_engine_tasks(dataset, config, sconfig)) as results:
+    with processes.pool_map(_run_engine, _engine_tasks(dataset, config, sconfig)) as results:
         results = list(results)
     report = _compare_report(dataset, results, str(args.input), args.fuzzifier)
     args.outdir.mkdir(parents=True, exist_ok=True)
@@ -254,7 +226,7 @@ def cmd_bench(args, parser) -> int:
     # reports are built as results arrive, so no more results are held than
     # the workers have finished ahead of the one awaited
     benchmarks = []
-    with _engine_results(tasks) as results:
+    with processes.pool_map(_run_engine, tasks) as results:
         for input_path, dataset in zip(args.inputs, datasets):
             reports = [
                 _compare_report(

@@ -170,8 +170,9 @@ def reconstruct_quantized(
 ) -> RawImage:
     """Render the segmentation: each pixel takes its cluster's prototype color.
 
-    Center components are rounded half-up and clamped to [0, 255]; centers
-    that are not a finite (C, 3) array raise ``ValueError``.
+    Center components are rounded half-up and clamped to [0, 255]. Centers
+    that are not a finite (C, 3) array, and labels that are not integers
+    in [0, C) one per pixel, raise ``ValueError``.
     """
     labels = np.asarray(labels)
     centers = np.asarray(centers, dtype=np.float64)
@@ -184,6 +185,8 @@ def reconstruct_quantized(
             f"labels length {labels.shape} does not match pixel count "
             f"{dataset.n_pixels}"
         )
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= centers.shape[0]:
         raise ValueError("labels reference clusters outside the center set")
 

@@ -97,11 +97,13 @@ def build_report(
 ) -> ComparisonReport:
     """Score every result with evaluate_jm and normalize the requested pairs.
 
-    Pairing names must match result algorithm names; unknown names raise
-    ValueError.
+    Pairing names must match result algorithm names; unknown names, a
+    repeated algorithm or results of different seeds raise ValueError.
     """
     if not results:
         raise ValueError("build_report needs at least one result")
+    if len({r.algorithm for r in results}) < len(results) or len({r.seed for r in results}) > 1:
+        raise ValueError("results must name each algorithm once and share one seed")
     entries = tuple(
         AlgorithmEntry(
             name=r.algorithm,
@@ -163,13 +165,16 @@ def aggregate_reports(reports: Sequence[ComparisonReport]) -> dict:
     A win is a strictly lowest objective among all algorithms for one
     seed; ties award nothing, so win rates sum to 1.0 exactly when no seed
     ends in a tie. Wall times are deliberately omitted so the aggregate is
-    byte-for-byte repeatable.
+    byte-for-byte repeatable. Reports of different images, algorithms or
+    pairings raise ValueError.
     """
     if not reports:
         raise ValueError("aggregate_reports needs at least one report")
     names = [e.name for e in reports[0].entries]
     pairings = [(p.a, p.b) for p in reports[0].normalized]
     for r in reports:
+        if r.image != reports[0].image:
+            raise ValueError("all reports must cover the same image")
         if [e.name for e in r.entries] != names:
             raise ValueError("all reports must cover the same algorithms")
         if [(p.a, p.b) for p in r.normalized] != pairings:

@@ -28,9 +28,10 @@ farther than a kept one from every pixel of the box: each minimum, and so
 each set's sum, keeps its bits, and the fitness matches
 ``particle_fitness`` row by row bit for bit. Where a step is large enough
 and processes fork, the particles are split into contiguous slices of
-whole groups, at most one per usable CPU, each scored in a forked helper
-or in this process by the one scorer, which the helpers inherit from this
-process (``_swarm_fitness``); the values are the same bits.
+whole groups, at most one per usable CPU, each scored by the one scorer
+in this process or in a helper that ``processes``, the package's one
+home for process starts, forks from it (``_swarm_fitness``); the values
+are the same bits.
 
 Determinism contract: one seeded generator drives the whole run, consumed
 in a fixed order: the particles are initialized one by one, then each step
@@ -42,10 +43,8 @@ history bit for bit.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -438,32 +437,6 @@ class _Fitness:
 SPLIT_MIN_WORK = 65_536
 
 
-def _fitness_processes(sets: int, work: int) -> int:
-    """How many processes score a swarm step of ``sets`` center sets and ``work`` distances.
-
-    W = min(usable CPUs, groups of ``CENTER_SETS_PER_SWEEP`` sets), or 1
-    unless all of these hold:
-    - processes fork;
-    - ``work`` reaches ``SPLIT_MIN_WORK``;
-    - this process runs one thread. A fork copies only the calling thread,
-      and a lock another thread holds stays held in the copy;
-    - this process is not a multiprocessing child. A ``compare`` or
-      ``bench`` pool worker is one, and its siblings already fill the CPUs.
-    """
-    if (
-        processes.START_METHOD != "fork"
-        or work < SPLIT_MIN_WORK
-        or threading.active_count() > 1
-    ):
-        return 1
-    workers = min(processes.usable_cpus(), -(-sets // CENTER_SETS_PER_SWEEP))
-    if workers <= 1:
-        return 1
-    import multiprocessing
-
-    return workers if multiprocessing.parent_process() is None else 1
-
-
 def _shares(sets: int, workers: int) -> list[slice]:
     """``workers`` contiguous slices of ``sets`` sets, whole groups each, larger ones first."""
     groups, extra = divmod(-(-sets // CENTER_SETS_PER_SWEEP), workers)
@@ -474,123 +447,19 @@ def _shares(sets: int, workers: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _serve(conn, parent_ends, score: _Fitness, cpus: set[int]) -> None:
-    """A helper's loop on ``cpus`` (if any): ``score`` each slice of positions received on ``conn``.
+def _swarm_fitness(dataset: PixelDataset, sets: int, clusters: int) -> AbstractContextManager:
+    """The fitness of one swarm run, as a context: (sets, clusters * d) positions to (sets,) errors.
 
-    ``score`` is the parent's scorer, inherited by the fork; the helper
-    builds nothing. ``parent_ends`` are the parent's ends of this pipe and
-    of the earlier helpers' pipes, copied by the fork. Closed here, they let
-    the parent's exit, however it exits, read as EOF, and the helper then
-    returns. Positions and errors travel as raw float64 bytes; an exception
-    goes back as an empty reply and then the pickled exception. Otherwise
-    the helper runs until it is terminated.
-    """
-    import signal
-
-    for end in parent_ends:
-        end.close()
-    # Ctrl-C reaches the whole process group; the parent stops its helpers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if cpus:
-        os.sched_setaffinity(0, cpus)
-    try:
-        while True:
-            position = np.frombuffer(conn.recv_bytes())
-            try:
-                errors = score(position)
-            except Exception as exc:
-                conn.send_bytes(b"")
-                conn.send(exc)
-            else:
-                conn.send_bytes(errors)
-    except (EOFError, OSError):  # the parent is gone
-        return
-
-
-def _start_helper(context, conn, *args):
-    """Start a helper process running ``_serve(conn, *args)``; return it."""
-    helper = context.Process(target=_serve, args=(conn, *args), daemon=True)
-    helper.start()
-    return helper
-
-
-def _stopped(helper) -> RuntimeError:
-    """The error for ``helper``, whose end of the pipe closed: it exited, so join it."""
-    helper.join()
-    return RuntimeError(f"a swarm fitness helper exited with code {helper.exitcode}")
-
-
-def _split_errors(position: np.ndarray, score: _Fitness, own: slice, helpers: list) -> np.ndarray:
-    """The (sets,) errors of ``position``: each helper's slice from that helper, ``own`` from ``score``."""
-    for helper, conn, share in helpers:
-        try:
-            conn.send_bytes(position[share])
-        except OSError:
-            raise _stopped(helper) from None
-    errors = np.empty(len(position))
-    errors[own] = score(position[own])
-    for helper, conn, share in helpers:
-        try:
-            reply = conn.recv_bytes() or conn.recv()
-        except (EOFError, OSError):
-            raise _stopped(helper) from None
-        if isinstance(reply, BaseException):
-            raise reply
-        errors[share] = np.frombuffer(reply)
-    return errors
-
-
-@contextmanager
-def _swarm_fitness(
-    dataset: PixelDataset, sets: int, clusters: int
-) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
-    """The fitness of one swarm run: (sets, clusters * d) positions to (sets,) errors.
-
-    This process builds the run's one ``_Fitness`` first, so a failure to
-    build it, ``MemoryError`` included, is raised here before any fork.
-    With W from ``_fitness_processes`` above 1, W - 1 helpers forked after
-    it each score a fixed contiguous slice of the sets (``_shares``) with
-    their inherited copy, and this process scores the last slice with the
-    same object and reads theirs back in set order. A set's error does not
-    depend on the sets scored beside it, so every value keeps its bits
-    whatever W is. A helper's exception is raised here, and a helper that
-    dies raises ``RuntimeError``. Every helper is terminated and joined
-    when the ``with`` block ends, however it ends, and returns by itself if
-    this process dies first.
-
-    The helpers may run on every usable CPU but the one this process runs
-    on when they start. Unpinned, the kernel's wake-up placement often
-    kept a helper on this process's CPU for a whole run, and the split run
-    was slower than one process.
+    The run's one ``_Fitness`` is built first, so a failure to build it,
+    ``MemoryError`` included, is raised here before any fork. A step of
+    ``SPLIT_MIN_WORK`` or more distances may be split into ``_shares``
+    (``processes.forked_split``). A set's error does not depend on the sets
+    scored beside it, so every value keeps its bits whatever the split.
     """
     score = _Fitness(dataset, sets, clusters)
-    workers = _fitness_processes(sets, sets * clusters * dataset.n_pixels)
-    if workers == 1:
-        yield score
-        return
-    import multiprocessing
-
-    context = multiprocessing.get_context(processes.START_METHOD)
-    *shares, own = _shares(sets, workers)
-    cpus = processes.other_cpus()
-    helpers = []
-    try:
-        for share in shares:
-            conn, child = context.Pipe()
-            try:
-                parent_ends = [end for _, end, _ in helpers] + [conn]
-                helper = _start_helper(context, child, parent_ends, score, cpus)
-            finally:
-                # this process keeps only its own end, so a helper's exit reads as EOF
-                child.close()
-            helpers.append((helper, conn, share))
-        yield lambda position: _split_errors(position, score, own, helpers)
-    finally:
-        for helper, _, _ in helpers:
-            helper.terminate()
-        for helper, conn, _ in helpers:
-            helper.join()
-            conn.close()
+    work = sets * clusters * dataset.n_pixels
+    workers = processes.fork_count(-(-sets // CENTER_SETS_PER_SWEEP)) if work >= SPLIT_MIN_WORK else 1
+    return processes.forked_split(score, _shares(sets, workers)) if workers > 1 else nullcontext(score)
 
 
 def run_swarm(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import require_integer
 from .imaging import RawImage
 
 
@@ -24,23 +25,24 @@ def solid_block_image(
     """Vertical color bands, one per entry of ``colors``.
 
     Returns the image and the ground-truth label of every pixel in
-    row-major order. Colors must be distinct so the partition is
-    unambiguous.
+    row-major order. Colors must be distinct (r, g, b) integer triples in
+    [0, 255], so the partition is unambiguous.
     """
     if len(colors) < 1:
         raise ValueError("need at least one color")
+    palette = np.asarray(colors)
+    bad = palette.shape != (len(colors), 3) or palette.dtype.kind not in "iu"
+    if bad or palette.min() < 0 or palette.max() > 255:
+        raise ValueError("colors must be (r, g, b) triples of integers in [0, 255]")
     if len(set(colors)) != len(colors):
         raise ValueError("colors must be distinct")
+    require_integer("block_width", block_width)
+    require_integer("height", height)
     if block_width < 1 or height < 1:
         raise ValueError("block dimensions must be positive")
-    width = block_width * len(colors)
-    rgb = np.zeros((height, width, 3), dtype=np.uint8)
-    labels = np.zeros((height, width), dtype=np.int64)
-    for i, color in enumerate(colors):
-        rgb[:, i * block_width : (i + 1) * block_width] = color
-        labels[:, i * block_width : (i + 1) * block_width] = i
-    image = RawImage(width=width, height=height, rgb8=rgb.tobytes())
-    return image, labels.ravel()
+    labels = np.tile(np.repeat(np.arange(len(colors), dtype=np.int64), block_width), height)
+    rgb8 = palette.astype(np.uint8)[labels].tobytes()
+    return RawImage(width=block_width * len(colors), height=height, rgb8=rgb8), labels
 
 
 def gaussian_blob_image(
@@ -62,8 +64,13 @@ def gaussian_blob_image(
     k = len(means)
     if k < 1:
         raise ValueError("need at least one blob mean")
-    if sigma < 0.0:
-        raise ValueError("sigma must be non-negative")
+    require_integer("width", width)
+    require_integer("height", height)
+    mean_arr = np.asarray(means, dtype=np.float64)
+    if mean_arr.shape != (k, 3) or not np.all(np.isfinite(mean_arr)):
+        raise ValueError("means must be finite (r, g, b) triples")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError("sigma must be finite and non-negative")
     if weights is not None:
         if len(weights) != k:
             raise ValueError("weights must match the number of blobs")
@@ -77,7 +84,6 @@ def gaussian_blob_image(
     rng = np.random.default_rng(seed)
     n = width * height
     assignment = rng.choice(k, size=n, p=w)
-    mean_arr = np.asarray(means, dtype=np.float64)
     colors = mean_arr[assignment] + rng.normal(0.0, sigma, size=(n, 3))
     rgb = np.clip(np.floor(colors + 0.5), 0, 255).astype(np.uint8)
     return RawImage(width=width, height=height, rgb8=rgb.tobytes())

@@ -181,7 +181,7 @@ def test_linux_workers_are_forked_with_the_parents_bindings(monkeypatch):
     # a spawned worker would import cli afresh and call the real run_algorithm
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(cli, "run_algorithm", lambda name: (name, os.getpid()))
-    with cli._engine_results([(name,) for name in swarmseg.ALGORITHMS]) as results:
+    with processes.pool_map(cli._run_engine, [(name,) for name in swarmseg.ALGORITHMS]) as results:
         results = list(results)
     assert [name for name, _ in results] == list(swarmseg.ALGORITHMS)
     # every task runs in a worker; the parent only reads the results

@@ -245,6 +245,21 @@ def test_reconstruct_quantized_validates_labels():
         reconstruct_quantized(ds, np.array([0]), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_reconstruct_quantized_rejects_labels_that_are_not_integers(dtype):
+    # numpy's take raised its own TypeError on these
+    ds = PixelDataset(pixels=np.zeros((4, 3)), width=2, height=2)
+    labels = np.array([0, 1, 0, 1], dtype=dtype)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        reconstruct_quantized(ds, labels, np.zeros((2, 3)))
+
+
+def test_reconstruct_quantized_accepts_unsigned_labels():
+    ds = PixelDataset(pixels=np.zeros((2, 3)), width=2, height=1)
+    img = reconstruct_quantized(ds, np.array([1, 0], dtype=np.uint8), np.array([[1.0] * 3, [2.0] * 3]))
+    assert img.rgb8 == bytes([2, 2, 2, 1, 1, 1])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_reconstruct_quantized_rejects_non_finite_centers(bad):
     # the uint8 cast would paint NaN as level 0 (with a RuntimeWarning) and +inf as 255

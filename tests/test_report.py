@@ -186,6 +186,20 @@ def test_build_report_needs_results():
         build_report(ds, [])
 
 
+def test_build_report_rejects_a_repeated_algorithm():
+    # two "fcm" entries would later aggregate to a mean above their max
+    result = fake_result("fcm", [[1.0], [3.0]])
+    with pytest.raises(ValueError, match="each algorithm once"):
+        build_report(scalar_dataset([0.0]), [result, result])
+
+
+def test_build_report_rejects_results_of_different_seeds():
+    # the report would carry the first result's seed only
+    results = [fake_result("fcm", [[1.0]], seed=0), fake_result("apsof", [[1.0]], seed=1)]
+    with pytest.raises(ValueError, match="share one seed"):
+        build_report(scalar_dataset([0.0]), results)
+
+
 def test_json_schema():
     ds = scalar_dataset([0.0])
     report = build_report(
@@ -277,6 +291,14 @@ def test_aggregate_rejects_mismatched_rosters():
         aggregate_reports([a, b])
     with pytest.raises(ValueError):
         aggregate_reports([])
+
+
+def test_aggregate_rejects_reports_of_different_images():
+    # averaged under the first report's image otherwise
+    a = manual_report(0, {"fcm": 2.0, "apsof": 1.0}, image="")
+    b = manual_report(1, {"fcm": 2.0, "apsof": 1.0}, image="other")
+    with pytest.raises(ValueError, match="all reports must cover the same image"):
+        aggregate_reports([a, b])
 
 
 @pytest.mark.parametrize("unpaired_first", [False, True], ids=["paired-first", "unpaired-first"])

@@ -31,7 +31,7 @@ BLOBS = [(200.0, 40.0, 40.0), (40.0, 200.0, 40.0), (40.0, 40.0, 200.0), (120.0, 
 
 def count_starts(monkeypatch, log=None):
     """Count helper starts in a list, or as lines of ``log``, which forked processes share."""
-    real, starts = swarm._start_helper, []
+    real, starts = processes._start_helper, []
 
     def start_helper(*args):
         starts.append(os.getpid())
@@ -40,7 +40,7 @@ def count_starts(monkeypatch, log=None):
                 fh.write(f"{os.getpid()}\n")
         return real(*args)
 
-    monkeypatch.setattr(swarm, "_start_helper", start_helper)
+    monkeypatch.setattr(processes, "_start_helper", start_helper)
     return starts
 
 
@@ -173,7 +173,7 @@ def die(*args):
 
 def test_a_helper_that_dies_is_a_runtime_error(monkeypatch):
     use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(swarm, "_serve", die)
+    monkeypatch.setattr(processes, "_serve", die)
     with pytest.raises(RuntimeError, match="a swarm fitness helper exited with code 3"):
         run(blob_dataset(64), 3, 50)
     assert multiprocessing.active_children() == []
@@ -198,14 +198,14 @@ from swarmseg.imaging import to_dataset
 from swarmseg.synthetic import gaussian_blob_image
 
 processes.usable_cpus = lambda: 3
-start_helper = swarm._start_helper
+start_helper = processes._start_helper
 
 def print_pid(*args):
     helper = start_helper(*args)
     print(helper.pid, flush=True)
     return helper
 
-swarm._start_helper = print_pid
+processes._start_helper = print_pid
 image = gaussian_blob_image({BLOBS!r}, width=64, height=64, sigma=12.0, seed=3)
 swarm.run_swarm(
     to_dataset(image),
@@ -243,7 +243,7 @@ def test_without_proc_the_helpers_may_run_on_every_cpu(monkeypatch):
         raise FileNotFoundError("/proc/self/stat")
 
     monkeypatch.setattr(processes, "open", no_proc, raising=False)
-    assert processes.other_cpus() == os.sched_getaffinity(0)
+    assert processes._other_cpus() == os.sched_getaffinity(0)
     use_cpus(monkeypatch, 2)
     starts = count_starts(monkeypatch)
     split = run(blob_dataset(64), 3, 7)
@@ -267,7 +267,7 @@ def test_segment_exits_1_with_no_output_when_a_helper_dies(tmp_path, capsys, mon
     src, out = tmp_path / "in.ppm", tmp_path / "out.ppm"
     write_input(src)
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(swarm, "_serve", die)
+    monkeypatch.setattr(processes, "_serve", die)
     argv = ["segment", str(src), str(out), "--algo", "apsof", *SPLIT_RUN,
             "--report", str(tmp_path / "report.json")]
     assert run_cli(argv) == 1
