@@ -1,6 +1,6 @@
 """Run all four segmentation algorithms on one image and score them equally.
 
-Every algorithm gets the same image and seed. Each result is re-scored
+Every algorithm gets the same image and seed. Each result is scored
 with the shared fuzzy objective (so k-means is not judged by its own SSE),
 the quantized images are written as PPM files, and the full comparison
 lands in a JSON report. Output goes to ./demo-output/.

@@ -58,6 +58,10 @@ class FcmResult:
     ``jm_trajectory`` holds the objective value after every alternation,
     starting with the value at the initial centers. The (N, C) memberships
     are not kept: ``compute_memberships(dataset, centers, m)`` recomputes them.
+    ``centers_jm`` is ``(m, J_m)``: the fuzzifier of the run and the last
+    trajectory value, which is J_m at ``centers`` bit for bit. It is None
+    when clipping the final centers to [0, 255] changed a bit of them.
+    ``reseeded`` counts the dead clusters moved by ``reseed_farthest``.
     """
 
     centers: np.ndarray
@@ -65,6 +69,8 @@ class FcmResult:
     jm_trajectory: np.ndarray
     iterations: int
     converged: bool
+    centers_jm: tuple[float, float] | None = None
+    reseeded: int = 0
 
 
 def compute_memberships(
@@ -428,7 +434,7 @@ def run_fcm(
     sums = _CenterSums(config.cluster_count, dataset.n_pixels, dataset.n_channels)
     trajectory: list[float] = []
     converged = False
-    streak = 0
+    streak = reseeded = 0
 
     for iteration in range(config.fcm_max_iters + 1):
         jm = sweep.objective(centers, sums)
@@ -442,13 +448,19 @@ def run_fcm(
         streak = reseed_streak(streak, dead, config.cluster_count, "dead")
         if dead:
             centers = _reseed_dead(dataset, centers, dead)
+            reseeded += len(dead)
 
     labels = sweep.labels(centers)
-    centers = np.clip(centers, 0.0, 255.0)
+    clipped = np.clip(centers, 0.0, 255.0)
+    # the last sweep ran at ``centers``: its J_m holds for the clipped ones
+    # only when the clip changed no bit
+    unclipped = clipped.tobytes() == centers.tobytes()
     return FcmResult(
-        centers=centers,
+        centers=clipped,
         labels=labels,
         jm_trajectory=np.array(trajectory),
         iterations=len(trajectory) - 1,
         converged=converged,
+        centers_jm=(config.fuzzifier, trajectory[-1]) if unclipped else None,
+        reseeded=reseeded,
     )

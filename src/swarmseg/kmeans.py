@@ -25,13 +25,17 @@ from .core import (
 
 @dataclass(frozen=True)
 class KmeansResult:
-    """Final state of one Lloyd run; ``sse_trajectory`` has one entry per assignment."""
+    """Final state of one Lloyd run; ``sse_trajectory`` has one entry per assignment.
+
+    ``reseeded`` counts the empty clusters moved by ``reseed_farthest``.
+    """
 
     centers: np.ndarray
     labels: np.ndarray
     sse_trajectory: np.ndarray
     iterations: int
     converged: bool
+    reseeded: int = 0
 
 
 _MAX_ITERS = 300
@@ -53,7 +57,7 @@ def run_kmeans(dataset: PixelDataset, config: ClusterConfig) -> KmeansResult:
     prev_labels: np.ndarray | None = None
     trajectory: list[float] = []
     converged = False
-    streak = 0
+    streak = reseeded = 0
 
     for iteration in range(_MAX_ITERS + 1):
         labels, dist_to_assigned = _nearest(dataset, centers)
@@ -83,6 +87,7 @@ def run_kmeans(dataset: PixelDataset, config: ClusterConfig) -> KmeansResult:
         streak = reseed_streak(streak, empty, c, "empty")
         if empty:
             new_centers = reseed_farthest(dataset, new_centers, empty, dist_to_assigned)
+            reseeded += len(empty)
         centers = new_centers
 
     centers = np.clip(centers, 0.0, 255.0)
@@ -92,4 +97,5 @@ def run_kmeans(dataset: PixelDataset, config: ClusterConfig) -> KmeansResult:
         sse_trajectory=np.array(trajectory),
         iterations=len(trajectory),
         converged=converged,
+        reseeded=reseeded,
     )

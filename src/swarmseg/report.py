@@ -1,11 +1,16 @@
 """Cross-algorithm comparison metrics and JSON reports.
 
 Different engines optimize different objectives (fuzzy objective vs. sum
-of squared errors), so reports never copy engine-internal numbers.
-Instead every algorithm's final centers are re-scored with the same fuzzy
-objective at optimal memberships (``evaluate_jm``), and pairs of scores
-are normalized by their mean so each pair sums to exactly 2. A pair like
-(1.16, 0.84) then reads directly as "second algorithm 16% better".
+of squared errors), so every result is scored with the same fuzzy
+objective J_m of its final centers at optimal memberships
+(``evaluate_jm``). A c-means run has already swept its returned centers:
+``FcmResult.centers_jm`` holds that sweep's J_m, which is ``evaluate_jm``
+bit for bit, and the report reuses it when the result still holds the
+run's own centers, the report's fuzzifier is the run's and the labels
+cover the dataset (``_scored_jm``). Any other result, k-means among them,
+is re-scored. Pairs of scores are normalized by their mean so each pair
+sums to exactly 2. A pair like (1.16, 0.84) then reads directly as
+"second algorithm 16% better".
 """
 
 from __future__ import annotations
@@ -87,6 +92,27 @@ def evaluate_jm(
     return _Sweep(dataset, len(centers), fuzzifier).objective(centers)
 
 
+def _scored_jm(dataset: PixelDataset, result: SegmentationResult, fuzzifier: float) -> float:
+    """``evaluate_jm(dataset, result.centers, fuzzifier)``, reusing the c-means run's own sweep.
+
+    The recorded J_m is reused only when the result holds the run's
+    centers object (pickling keeps that identity), the fuzzifier is the
+    run's, of the same type so the sweep's arithmetic is the same, and the
+    labels number the dataset's pixels.
+    """
+    run = result.fcm_result
+    if (
+        run is not None
+        and run.centers_jm is not None
+        and result.centers is run.centers
+        and len(result.labels) == dataset.n_pixels
+    ):
+        m, jm = run.centers_jm
+        if type(m) is type(fuzzifier) and m == fuzzifier:
+            return jm
+    return evaluate_jm(dataset, result.centers, fuzzifier)
+
+
 def build_report(
     dataset: PixelDataset,
     results: Sequence[SegmentationResult],
@@ -95,10 +121,15 @@ def build_report(
     image: str = "",
     fuzzifier: float = 2.0,
 ) -> ComparisonReport:
-    """Score every result with evaluate_jm and normalize the requested pairs.
+    """Score every result with the shared J_m and normalize the requested pairs.
 
-    Pairing names must match result algorithm names; unknown names, a
-    repeated algorithm or results of different seeds raise ValueError.
+    ``results`` must be runs on ``dataset``. Each is scored with
+    ``evaluate_jm`` at its centers; for a c-means result that score is the
+    engine's own last sweep, reused bit for bit when the result still holds
+    the run's centers, ``fuzzifier`` is the run's and the labels cover
+    ``dataset``. Pairing names must match result algorithm names; unknown
+    names, a repeated algorithm or results of different seeds raise
+    ValueError.
     """
     if not results:
         raise ValueError("build_report needs at least one result")
@@ -107,7 +138,7 @@ def build_report(
     entries = tuple(
         AlgorithmEntry(
             name=r.algorithm,
-            final_jm=evaluate_jm(dataset, r.centers, fuzzifier),
+            final_jm=_scored_jm(dataset, r, fuzzifier),
             iterations=r.iterations,
             wall_time=r.wall_time,
             seed=r.seed,

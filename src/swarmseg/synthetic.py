@@ -66,6 +66,7 @@ def gaussian_blob_image(
         raise ValueError("need at least one blob mean")
     require_integer("width", width)
     require_integer("height", height)
+    require_integer("seed", seed)
     mean_arr = np.asarray(means, dtype=np.float64)
     if mean_arr.shape != (k, 3) or not np.all(np.isfinite(mean_arr)):
         raise ValueError("means must be finite (r, g, b) triples")
@@ -91,6 +92,9 @@ def gaussian_blob_image(
 
 def random_image(width: int, height: int, seed: int = 0) -> RawImage:
     """Uniform random noise; useful for round-trip and invariant tests."""
+    require_integer("width", width)
+    require_integer("height", height)
+    require_integer("seed", seed)
     rng = np.random.default_rng(seed)
     rgb = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
     return RawImage(width=width, height=height, rgb8=rgb.tobytes())

@@ -1,9 +1,11 @@
-"""Shared pytest hooks."""
+"""Shared pytest hooks and fixtures."""
 
 import os
 
 import numpy as np
+import pytest
 
+from swarmseg import report
 from swarmseg.processes import START_METHOD, usable_cpus
 
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -20,3 +22,16 @@ def pytest_report_header(config):
         f"numpy {np.__version__}; {threads}; process start method {START_METHOD}; "
         f"usable CPUs {usable_cpus()}"
     )
+
+
+@pytest.fixture
+def jm_calls(monkeypatch):
+    """The fuzzifiers ``report.evaluate_jm`` is called with, one per call."""
+    calls, evaluate_jm = [], report.evaluate_jm
+
+    def counted(dataset, centers, fuzzifier=2.0):
+        calls.append(fuzzifier)
+        return evaluate_jm(dataset, centers, fuzzifier)
+
+    monkeypatch.setattr(report, "evaluate_jm", counted)
+    return calls

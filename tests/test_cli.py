@@ -103,6 +103,15 @@ def test_segment_writes_report_when_asked(tmp_path):
     assert doc["algorithms"][0]["final_jm"] >= 0.0
 
 
+def test_segment_fcm_report_reuses_the_runs_score(tmp_path, jm_calls):
+    src = tmp_path / "in.ppm"
+    write_blob_image(src)
+    argv = ["segment", str(src), str(tmp_path / "out.ppm"), "--algo", "fcm",
+            "--clusters", "3", "--report", str(tmp_path / "r.json")]
+    assert run_cli(argv) == 0
+    assert jm_calls == []
+
+
 def test_segment_repeat_runs_are_byte_identical(tmp_path):
     src = tmp_path / "in.ppm"
     write_block_image(src)

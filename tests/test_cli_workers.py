@@ -65,6 +65,17 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     assert b"wall_time" not in outputs[0][2]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_compare_rescores_only_kmeans(tmp_path, monkeypatch, jm_calls, cpus):
+    # the c-means results come back from the pool pickled, and still reuse
+    # their runs' scores
+    use_cpus(monkeypatch, cpus)
+    src = tmp_path / "in.ppm"
+    write_blob_image(src)
+    assert run_cli(["compare", str(src), str(tmp_path / "out"), "--clusters", "3", *FAST]) == 0
+    assert jm_calls == [2.0]
+
+
 def test_engine_error_exits_1_with_the_same_message(tmp_path, capsys, monkeypatch):
     src = tmp_path / "in.ppm"
     write_block_image(src, colors=((250, 10, 10), (10, 250, 10)))

@@ -12,6 +12,7 @@ from swarmseg.core import (
     DeadClusterError,
     DegenerateClusteringError,
     PixelDataset,
+    sample_distinct_pixels,
     squared_distances,
 )
 from swarmseg import fcm
@@ -28,6 +29,8 @@ from swarmseg.fcm import (
     update_centers,
 )
 from swarmseg.report import evaluate_jm
+
+import test_fcm_golden
 
 
 def scalar_dataset(values):
@@ -348,6 +351,15 @@ def test_run_fcm_reseeds_dead_cluster_on_farthest_pixel():
     assert result.centers[:, 0].tolist() == [0.0, 20.0, 10.0]
     assert result.labels.tolist() == [0, 2, 1]
     assert result.jm_trajectory[-1] == 0.0
+    assert result.reseeded == 1
+
+
+@pytest.mark.parametrize("name", sorted(test_fcm_golden.CASES))
+def test_golden_runs_reseed_no_cluster(name):
+    make, clusters, overrides, start_seed = test_fcm_golden.CASES[name]
+    ds = make()
+    init = sample_distinct_pixels(ds, clusters, np.random.default_rng(start_seed))
+    assert run_fcm(ds, init, ClusterConfig(cluster_count=clusters, **overrides)).reseeded == 0
 
 
 def keep_dead_then(monkeypatch, script):

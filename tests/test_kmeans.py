@@ -17,6 +17,8 @@ from swarmseg.core import (
 )
 from swarmseg.kmeans import run_kmeans
 
+import test_engine_golden
+
 
 def scalar_dataset(values):
     arr = np.asarray(values, dtype=np.float64).reshape(-1, 1)
@@ -143,6 +145,15 @@ def test_empty_cluster_is_reseeded_on_farthest_pixel():
     assert result.centers[:, 0].tolist() == [101.5, 262.0 / 5, 4.0, 201.75]
     assert result.labels.tolist() == [2, 1, 0, 1, 1, 3, 3, 3, 1, 0, 3, 1]
     assert result.converged
+    assert result.reseeded == 1
+
+
+# the mixture's second assignment leaves cluster 0 empty once
+@pytest.mark.parametrize("name, reseeded", [("bands-1024-to-256-c4", 0), ("mixture-64-c5", 1)])
+def test_golden_runs_count_their_reseeds(name, reseeded):
+    make, clusters = test_engine_golden.DATASETS[name]
+    config = ClusterConfig(cluster_count=clusters, seed=3)
+    assert run_kmeans(make(), config).reseeded == reseeded
 
 
 def keep_empty_then(monkeypatch, script):

@@ -1,13 +1,16 @@
 """Canonical cross-algorithm scoring, normalization, and JSON rendering."""
 
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from swarmseg import fcm
 from swarmseg.core import PIXEL_BLOCK, ClusterConfig, PixelDataset
 from swarmseg.fcm import compute_memberships, fcm_objective
+from swarmseg.imaging import to_dataset
 from swarmseg.pipeline import SegmentationResult, run_algorithm
 from swarmseg.report import (
     AlgorithmEntry,
@@ -22,6 +25,7 @@ from swarmseg.report import (
     report_to_json,
 )
 from swarmseg.swarm import SwarmConfig
+from swarmseg.synthetic import gaussian_blob_image
 
 
 def scalar_dataset(values):
@@ -326,3 +330,96 @@ def test_report_round_trip_on_real_runs():
         assert entry.final_jm == evaluate_jm(ds, result.centers)
     pair = report.normalized[0]
     assert abs((pair.norm_a + pair.norm_b) - 2.0) <= 1e-12
+
+
+def two_block_dataset(channels):
+    # 10 000 pixels: two pixel blocks, so the score spans a block boundary
+    image = gaussian_blob_image(
+        [(40.0, 40.0, 40.0), (140.0, 90.0, 60.0), (220.0, 200.0, 40.0)],
+        width=100, height=100, sigma=12.0, seed=4,
+    )
+    ds = to_dataset(image)
+    assert ds.n_pixels > PIXEL_BLOCK
+    return PixelDataset(pixels=ds.pixels[:, :channels], width=100, height=100)
+
+
+def fcm_run(ds, fuzzifier=2.0):
+    return run_algorithm("fcm", ds, ClusterConfig(cluster_count=3, fuzzifier=fuzzifier, seed=1))
+
+
+def the_score(ds, result, fuzzifier=2.0):
+    (entry,) = build_report(ds, [result], fuzzifier=fuzzifier).entries
+    return entry.final_jm
+
+
+@pytest.mark.parametrize("fuzzifier", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_a_c_means_score_reuses_the_runs_last_sweep_bit_for_bit(channels, fuzzifier, jm_calls):
+    ds = two_block_dataset(channels)
+    result = fcm_run(ds, fuzzifier)
+    run = result.fcm_result
+    assert run.centers_jm == (fuzzifier, run.jm_trajectory[-1])
+    for scored in (result, pickle.loads(pickle.dumps(result))):
+        assert the_score(ds, scored, fuzzifier) == evaluate_jm(ds, result.centers, fuzzifier)
+    assert jm_calls == []
+
+
+def test_a_run_whose_clip_moved_a_center_is_rescored(monkeypatch, jm_calls):
+    # the weighted mean of the three 255 pixels rounds up past 255
+    unclipped, labels = [], fcm._Sweep.labels
+
+    def spy(sweep, centers):
+        unclipped.append(centers.copy())
+        return labels(sweep, centers)
+
+    monkeypatch.setattr(fcm._Sweep, "labels", spy)
+    ds = scalar_dataset([20.0, 60.0, 255.0, 255.0, 255.0])
+    run = fcm.run_fcm(ds, np.array([[20.0], [60.0], [250.0]]), ClusterConfig(cluster_count=3, fuzzifier=3.0))
+    assert unclipped[-1].max() > 255.0 and run.centers.max() == 255.0
+    assert run.centers_jm is None
+    result = SegmentationResult("fcm", run.centers, run.labels, run.jm_trajectory[-1],
+                                run.iterations, 0.0, 42, fcm_result=run)
+    assert the_score(ds, result, 3.0) == evaluate_jm(ds, run.centers, 3.0)
+    assert jm_calls == [3.0]
+
+
+def test_a_report_at_another_fuzzifier_rescores(jm_calls):
+    ds = two_block_dataset(3)
+    result = fcm_run(ds, 2.0)
+    assert the_score(ds, result, 3.0) == evaluate_jm(ds, result.centers, 3.0)
+    assert jm_calls == [3.0]
+
+
+def test_a_fuzzifier_of_another_type_rescores(jm_calls):
+    # a float32 m runs the sweep in float32 arithmetic, so the same value
+    # as a float gives other bits
+    ds = two_block_dataset(3)
+    m = np.float32(2.3)
+    result = fcm_run(ds, m)
+    want = evaluate_jm(ds, result.centers, float(m))
+    assert result.fcm_result.centers_jm[1] != want
+    assert the_score(ds, result, float(m)) == want
+    assert jm_calls == [float(m)]
+
+
+def test_a_result_with_replaced_centers_rescores(jm_calls):
+    ds = two_block_dataset(3)
+    result = replace(fcm_run(ds), centers=np.array([[30.0, 30.0, 30.0], [130.0, 90.0, 60.0],
+                                                   [200.0, 200.0, 50.0]]))
+    assert the_score(ds, result) == evaluate_jm(ds, result.centers)
+    assert jm_calls == [2.0]
+
+
+def test_a_kmeans_result_rescores(jm_calls):
+    ds = two_block_dataset(3)
+    result = run_algorithm("kmeans", ds, ClusterConfig(cluster_count=3, seed=1))
+    assert the_score(ds, result) == evaluate_jm(ds, result.centers)
+    assert jm_calls == [2.0]
+
+
+def test_a_dataset_of_another_size_rescores(jm_calls):
+    ds = two_block_dataset(3)
+    result = fcm_run(ds)
+    other = PixelDataset(pixels=ds.pixels[:5000], width=50, height=100)
+    assert the_score(other, result) == evaluate_jm(other, result.centers)
+    assert jm_calls == [2.0]

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from swarmseg.synthetic import gaussian_blob_image, solid_block_image
+from swarmseg.synthetic import gaussian_blob_image, random_image, solid_block_image
 
 MEANS = [(200.0, 40.0, 40.0), (40.0, 40.0, 200.0)]
 
@@ -46,6 +46,22 @@ def test_blob_means_must_be_finite_triples(means):
 def test_blob_sizes_must_be_integers(size):
     with pytest.raises(ValueError, match="must be an integer"):
         gaussian_blob_image(MEANS, **{"width": 4, "height": 4, **size})
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: random_image(2.5, 2), "width"),
+        (lambda: random_image(2, 2.0), "height"),
+        (lambda: random_image(2, 2, seed=1.5), "seed"),
+        (lambda: gaussian_blob_image(MEANS, width=4, height=4, seed=1.5), "seed"),
+    ],
+    ids=["noise-width", "noise-height", "noise-seed", "blob-seed"],
+)
+def test_sizes_and_seeds_must_be_integers(make, name):
+    # these once escaped as numpy's TypeError
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        make()
 
 
 def test_block_image_layout():
